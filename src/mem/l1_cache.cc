@@ -1,5 +1,7 @@
 #include "mem/l1_cache.hh"
 
+#include <functional>
+
 #include "sim/logging.hh"
 
 namespace flextm
@@ -15,6 +17,8 @@ L1Cache::L1Cache(std::size_t bytes, unsigned ways,
     sim_assert(numSets_ >= 1 && (numSets_ & (numSets_ - 1)) == 0,
                "L1 set count must be a power of two");
     sets_.resize(static_cast<std::size_t>(numSets_) * ways_);
+    live_.assign((sets_.size() + 63) / 64, 0);
+    spec_.assign(live_.size(), 0);
 }
 
 unsigned
@@ -55,118 +59,127 @@ L1Cache::probe(Addr addr) const
     return const_cast<L1Cache *>(this)->probe(addr);
 }
 
-L1Line &
-L1Cache::allocate(Addr addr, Cycles now,
-                  const std::function<void(L1Line &)> &evict)
+void
+L1Cache::setState(L1Line &line, LineState s)
+{
+    line.state_ = s;
+    const std::less<const L1Line *> before;
+    const L1Line *first = sets_.data();
+    if (before(&line, first) || !before(&line, first + sets_.size()))
+        return;  // victim-buffer entry
+    const auto i = static_cast<std::size_t>(&line - first);
+    const std::uint64_t b = std::uint64_t{1} << (i % 64);
+    if (s != LineState::I)
+        live_[i / 64] |= b;
+    else
+        live_[i / 64] &= ~b;
+    if (speculative(s))
+        spec_[i / 64] |= b;
+    else
+        spec_[i / 64] &= ~b;
+}
+
+L1Line *
+L1Cache::freeWay(Addr addr)
 {
     sim_assert(probe(addr) == nullptr, "allocate over existing line");
-    const Addr base = lineAlign(addr);
     const unsigned set = setIndex(addr);
-
-    // Free way?
-    L1Line *frame = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
         L1Line &l = sets_[static_cast<std::size_t>(set) * ways_ + w];
-        if (!l.valid()) {
-            frame = &l;
-            break;
+        if (!l.valid())
+            return &l;
+    }
+    return nullptr;
+}
+
+L1Line *
+L1Cache::displaceLru(Addr addr)
+{
+    const unsigned set = setIndex(addr);
+    L1Line *lru = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+        L1Line &l = sets_[static_cast<std::size_t>(set) * ways_ + w];
+        if (!lru || l.lastUse < lru->lastUse)
+            lru = &l;
+    }
+    victim_.push_back(*lru);
+    return lru;
+}
+
+L1Cache::VictimIt
+L1Cache::victimToEvict()
+{
+    // Victim buffer overflow: really evict its LRU entry, preferring
+    // non-speculative lines so that TMI state is spilled to the
+    // overflow table only as a last resort (Section 4.1's "at least
+    // one entry free for non-TMI lines" guidance).  In the
+    // unbounded-victim ablation (Section 7.3 overflow study) only TMI
+    // lines are exempt from eviction - the buffer is not a bigger
+    // cache for ordinary lines, it only removes the overflow path.
+    if (victim_.size() <= victimEntries_)
+        return victim_.end();
+    auto pick = victim_.end();
+    for (auto it = victim_.begin(); it != victim_.end(); ++it) {
+        if (it->state_ == LineState::TMI)
+            continue;
+        if (pick == victim_.end() || it->lastUse < pick->lastUse)
+            pick = it;
+    }
+    if (pick == victim_.end() && !unboundedVictim_) {
+        // Everything is TMI; spill the oldest.
+        pick = victim_.begin();
+        for (auto it = victim_.begin(); it != victim_.end(); ++it) {
+            if (it->lastUse < pick->lastUse)
+                pick = it;
         }
     }
+    // pick == end() only in unbounded mode with an all-TMI buffer:
+    // let it grow instead of spilling.
+    return pick;
+}
 
-    if (!frame) {
-        // Displace the set's LRU line into the victim buffer.
-        L1Line *lru = nullptr;
-        for (unsigned w = 0; w < ways_; ++w) {
-            L1Line &l =
-                sets_[static_cast<std::size_t>(set) * ways_ + w];
-            if (!lru || l.lastUse < lru->lastUse)
-                lru = &l;
-        }
-        victim_.push_back(*lru);
-        frame = lru;
-
-        // Victim buffer overflow: really evict its LRU entry,
-        // preferring non-speculative lines so that TMI state is
-        // spilled to the overflow table only as a last resort
-        // (Section 4.1's "at least one entry free for non-TMI
-        // lines" guidance).  In the unbounded-victim ablation
-        // (Section 7.3 overflow study) only TMI lines are exempt
-        // from eviction - the buffer is not a bigger cache for
-        // ordinary lines, it only removes the overflow path.
-        if (victim_.size() > victimEntries_) {
-            auto pick = victim_.end();
-            for (auto it = victim_.begin(); it != victim_.end(); ++it) {
-                if (it->state == LineState::TMI)
-                    continue;
-                if (pick == victim_.end() ||
-                    it->lastUse < pick->lastUse) {
-                    pick = it;
-                }
-            }
-            if (pick == victim_.end() && !unboundedVictim_) {
-                // Everything is TMI; spill the oldest.
-                pick = victim_.begin();
-                for (auto it = victim_.begin(); it != victim_.end();
-                     ++it) {
-                    if (it->lastUse < pick->lastUse)
-                        pick = it;
-                }
-            }
-            // pick == end() only in unbounded mode with an all-TMI
-            // buffer: let it grow instead of spilling.
-            if (pick != victim_.end()) {
-                if (pick->valid())
-                    evict(*pick);
-                victim_.erase(pick);
-            }
-        }
-    }
-
-    *frame = L1Line{};
-    frame->base = base;
-    frame->lastUse = now;
-    return *frame;
+L1Line &
+L1Cache::reset(L1Line &frame, Addr addr, Cycles now)
+{
+    setState(frame, LineState::I);
+    frame = L1Line{};
+    frame.base = lineAlign(addr);
+    frame.lastUse = now;
+    return frame;
 }
 
 void
 L1Cache::invalidate(L1Line &line)
 {
-    line.state = LineState::I;
+    setState(line, LineState::I);
     line.aBit = false;
 }
 
-bool
-L1Cache::evictOneInState(LineState s,
-                         const std::function<void(L1Line &)> &evict)
+std::pair<L1Line *, L1Cache::VictimIt>
+L1Cache::lruInState(LineState s)
 {
+    sim_assert(s != LineState::I, "no LRU among invalid frames");
     L1Line *pick = nullptr;
-    for (auto &l : sets_) {
-        if (l.state == s && (!pick || l.lastUse < pick->lastUse))
+    walk(speculative(s) ? spec_ : live_, [&](L1Line &l) {
+        if (l.state_ == s && (!pick || l.lastUse < pick->lastUse))
             pick = &l;
-    }
-    auto pickIt = victim_.end();
+    });
+    auto pick_it = victim_.end();
     for (auto it = victim_.begin(); it != victim_.end(); ++it) {
-        if (it->state == s && (!pick || it->lastUse < pick->lastUse)) {
+        if (it->state_ == s && (!pick || it->lastUse < pick->lastUse)) {
             pick = &*it;
-            pickIt = it;
+            pick_it = it;
         }
     }
-    if (!pick)
-        return false;
-    evict(*pick);
-    if (pickIt != victim_.end())
-        victim_.erase(pickIt);
-    return true;
+    return {pick, pick_it};
 }
 
 void
 L1Cache::flashCommit()
 {
-    forEachValid([](L1Line &l) {
-        if (l.state == LineState::TMI)
-            l.state = LineState::M;
-        else if (l.state == LineState::TI)
-            l.state = LineState::I;
+    forEachSpeculative([this](L1Line &l) {
+        setState(l, l.state_ == LineState::TMI ? LineState::M
+                                               : LineState::I);
     });
     // Compact invalidated victim-buffer entries.
     victim_.remove_if([](const L1Line &l) { return !l.valid(); });
@@ -175,35 +188,25 @@ L1Cache::flashCommit()
 void
 L1Cache::flashAbort()
 {
-    forEachValid([](L1Line &l) {
-        if (l.state == LineState::TMI || l.state == LineState::TI)
-            l.state = LineState::I;
-    });
+    forEachSpeculative([this](L1Line &l) { setState(l, LineState::I); });
     victim_.remove_if([](const L1Line &l) { return !l.valid(); });
-}
-
-void
-L1Cache::forEachValid(const std::function<void(L1Line &)> &fn)
-{
-    for (auto &l : sets_) {
-        if (l.valid())
-            fn(l);
-    }
-    for (auto &l : victim_) {
-        if (l.valid())
-            fn(l);
-    }
 }
 
 unsigned
 L1Cache::countState(LineState s) const
 {
+    if (s == LineState::I)
+        return 0;
+    const Mask &mask = speculative(s) ? spec_ : live_;
     unsigned n = 0;
-    for (const auto &l : sets_)
-        if (l.valid() && l.state == s)
-            ++n;
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+        for (std::uint64_t bits = mask[w]; bits; bits &= bits - 1) {
+            if (sets_[w * 64 + std::countr_zero(bits)].state_ == s)
+                ++n;
+        }
+    }
     for (const auto &l : victim_)
-        if (l.valid() && l.state == s)
+        if (l.state_ == s)
             ++n;
     return n;
 }

@@ -273,7 +273,7 @@ MemorySystem::evictL1Line(CoreId core, L1Line &line, Cycles now)
     if (line.aBit)
         contexts_[core].aou.raise(AlertCause::Capacity, line.base);
 
-    switch (line.state) {
+    switch (line.state()) {
       case LineState::M: {
           // Writeback data to L2; directory state is left unchanged
           // (Section 4.1).
@@ -299,8 +299,7 @@ MemorySystem::evictL1Line(CoreId core, L1Line &line, Cycles now)
       case LineState::I:
         break;
     }
-    line.state = LineState::I;
-    line.aBit = false;
+    l1s_[core]->invalidate(line);
 }
 
 void
@@ -315,10 +314,10 @@ MemorySystem::evictL2Line(L2Line &line, Cycles now)
         L1Line *ll = l1s_[k]->probe(line.base);
         if (!ll || !ll->valid())
             continue;
-        if (ll->state == LineState::M) {
+        if (ll->state() == LineState::M) {
             line.data = ll->data;
             line.dirty = true;
-        } else if (ll->state == LineState::TMI) {
+        } else if (ll->state() == LineState::TMI) {
             spillToOt(k, *ll);
         }
         if (ll->aBit)
@@ -416,14 +415,14 @@ MemorySystem::forwardOne(CoreId k, CoreId requestor, ReqType t,
     }
 
     if (line && line->valid()) {
-        switch (line->state) {
+        switch (line->state()) {
           case LineState::M:
             // Flush: data to requestor and directory.
             l2line.data = line->data;
             l2line.dirty = true;
             ++ctr_.dirFlushes;
             if (t == ReqType::GETS) {
-                line->state = LineState::S;
+                l1s_[k]->setState(*line, LineState::S);
                 retained_shared = true;
             } else {
                 if (line->aBit)
@@ -435,8 +434,8 @@ MemorySystem::forwardOne(CoreId k, CoreId requestor, ReqType t,
           case LineState::S:
           case LineState::TI:
             if (t == ReqType::GETS) {
-                if (line->state == LineState::E)
-                    line->state = LineState::S;
+                if (line->state() == LineState::E)
+                    l1s_[k]->setState(*line, LineState::S);
                 retained_shared = true;
             } else {
                 if (line->aBit)
@@ -629,23 +628,23 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
             applyToLine(*line, type, addr, size, buf);
             return res;
           case AccessType::Store:
-            if (line->state == LineState::M ||
-                line->state == LineState::E) {
-                line->state = LineState::M;
+            if (line->state() == LineState::M ||
+                line->state() == LineState::E) {
+                l1.setState(*line, LineState::M);
                 ++ctr_.l1Hits;
                 applyToLine(*line, type, addr, size, buf);
                 return res;
             }
-            sim_assert(line->state != LineState::TMI,
+            sim_assert(line->state() != LineState::TMI,
                        "non-transactional store to a local TMI line");
             break;  // S / TI: GETX upgrade
           case AccessType::TStore:
-            if (line->state == LineState::TMI) {
+            if (line->state() == LineState::TMI) {
                 ++ctr_.l1Hits;
                 applyToLine(*line, type, addr, size, buf);
                 return res;
             }
-            if (line->state == LineState::M) {
+            if (line->state() == LineState::M) {
                 // First TStore to an M line: write the modified line
                 // back to L2 so later Loads elsewhere see the latest
                 // non-speculative version (Section 3.3), then keep
@@ -659,7 +658,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
                     l2l.dir.exclusive = invalidCore;
                     l2l.dir.owners |= bit(core);
                 }
-                line->state = LineState::TMI;
+                l1.setState(*line, LineState::TMI);
                 applyToLine(*line, type, addr, size, buf);
                 ++ctr_.pdiTmiFromM;
                 return res;
@@ -679,7 +678,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
                 l1.allocate(addr, now, [this, core, now](L1Line &v) {
                     evictL1Line(core, v, now);
                 });
-            fr.state = LineState::TMI;
+            l1.setState(fr, LineState::TMI);
             std::memcpy(fr.data.data(), tmp, lineBytes);
             res.latency += otLatency_ + pendingEvictCost_;
             pendingEvictCost_ = 0;
@@ -753,14 +752,14 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
               });
           fr.data = l2l->data;
           if (type == AccessType::TLoad && threatened) {
-              fr.state = LineState::TI;
+              l1.setState(fr, LineState::TI);
               d.sharers |= bit(core);
               ++ctr_.pdiTiInstalls;
           } else if (!d.anyCached()) {
-              fr.state = LineState::E;
+              l1.setState(fr, LineState::E);
               d.exclusive = core;
           } else {
-              fr.state = LineState::S;
+              l1.setState(fr, LineState::S);
               d.sharers |= bit(core);
           }
           applyToLine(fr, type, addr, size, buf);
@@ -776,7 +775,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
                                   });
           }
           line->data = l2l->data;
-          line->state = LineState::M;
+          l1.setState(*line, LineState::M);
           d.clear();
           d.exclusive = core;
           applyToLine(*line, type, addr, size, buf);
@@ -790,7 +789,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
                                   [this, core, now](L1Line &v) {
                                       evictL1Line(core, v, now);
                                   });
-          } else if (line->state == LineState::TI) {
+          } else if (line->state() == LineState::TI) {
               ++ctr_.pdiTiUpgradeRefreshes;
           }
           // Refresh the base image on upgrades too: a TI copy is the
@@ -800,7 +799,7 @@ MemorySystem::accessImpl(CoreId core, AccessType type, Addr addr,
           // any remote M copy, so the L2 line is the freshest stable
           // data.
           line->data = l2l->data;
-          line->state = LineState::TMI;
+          l1.setState(*line, LineState::TMI);
           if (d.exclusive == core)
               d.exclusive = invalidCore;
           d.sharers &= ~bit(core);
@@ -825,9 +824,9 @@ MemorySystem::casImpl(CoreId core, Addr addr, std::uint64_t expected,
     out.latency = cfg_.l1HitLatency + 2;  // rmw sequencing
 
     L1Line *line = l1.find(addr, now);
-    if (!line || (line->state != LineState::M &&
-                  line->state != LineState::E)) {
-        sim_assert(!line || line->state != LineState::TMI,
+    if (!line || (line->state() != LineState::M &&
+                  line->state() != LineState::E)) {
+        sim_assert(!line || line->state() != LineState::TMI,
                    "CAS on a speculative (TMI) line");
         DirOutcome dir = dirTransaction(core, ReqType::GETX, addr, now);
         out.latency += dir.latency;
@@ -843,7 +842,7 @@ MemorySystem::casImpl(CoreId core, Addr addr, std::uint64_t expected,
         out.latency += pendingEvictCost_;
         pendingEvictCost_ = 0;
     }
-    line->state = LineState::M;
+    l1.setState(*line, LineState::M);
 
     const unsigned off = static_cast<unsigned>(addr & lineMask);
     std::uint64_t old = 0;
@@ -953,7 +952,7 @@ MemorySystem::aloadImpl(CoreId core, Addr addr, Cycles now)
                 evictL1Line(core, v, now);
             });
         fr.data = l2l.data;
-        fr.state = LineState::TI;
+        l1s_[core]->setState(fr, LineState::TI);
         l2l.dir.sharers |= bit(core);
         r.latency += pendingEvictCost_;
         pendingEvictCost_ = 0;
@@ -979,14 +978,13 @@ MemorySystem::flushTransactionalStateImpl(CoreId core, Cycles now)
     (void)now;
     Cycles lat = cfg_.l1HitLatency;
     unsigned spilled = 0;
-    l1s_[core]->forEachValid([&](L1Line &l) {
-        if (l.state == LineState::TMI) {
+    L1Cache &l1 = *l1s_[core];
+    l1.forEachSpeculative([&](L1Line &l) {
+        if (l.state() == LineState::TMI) {
             spillToOt(core, l);
-            l.state = LineState::I;
             ++spilled;
-        } else if (l.state == LineState::TI) {
-            l.state = LineState::I;
         }
+        l1.setState(l, LineState::I);
     });
     lat += pendingEvictCost_;
     pendingEvictCost_ = 0;
@@ -1002,7 +1000,7 @@ MemorySystem::peek(Addr addr, void *out, unsigned size)
     const unsigned off = static_cast<unsigned>(addr & lineMask);
     for (unsigned k = 0; k < cfg_.cores; ++k) {
         const L1Line *l = l1s_[k]->probe(addr);
-        if (l && l->state == LineState::M) {
+        if (l && l->state() == LineState::M) {
             std::memcpy(out, l->data.data() + off, size);
             return;
         }

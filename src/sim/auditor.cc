@@ -378,85 +378,87 @@ StateAuditor::violation(Cycles now, const char *invariant, CoreId core,
 void
 StateAuditor::sweepLines(Cycles now)
 {
-    view_.clear();
-    for (CoreId k = 0; k < static_cast<CoreId>(cfg_.cores); ++k) {
-        ms_.l1(k).forEachValid([&](L1Line &l) {
-            LineView &v = view_[l.base];
-            switch (l.state) {
-              case LineState::M:
-                v.m |= bit(k);
-                break;
-              case LineState::E:
-                v.e |= bit(k);
-                break;
-              case LineState::S:
-                v.s |= bit(k);
-                break;
-              case LineState::TI:
-                v.ti |= bit(k);
-                break;
-              case LineState::TMI:
-                v.tmi |= bit(k);
-                break;
-              case LineState::I:
-                break;
-            }
-            if (l.aBit)
-                v.abit |= bit(k);
-        });
+    for (CoreId k = 0; k < static_cast<CoreId>(cfg_.cores); ++k)
+        ms_.l1(k).forEachValid(
+            [&](const L1Line &l) { checkCopy(now, k, l); });
+}
+
+void
+StateAuditor::checkCopy(Cycles now, CoreId k, const L1Line &l)
+{
+    const Addr addr = l.base;
+    const LineState st = l.state();
+    const L2Line *l2l = ms_.l2().probe(addr);
+    if (!l2l) {
+        violation(now, "I2 inclusion", k, addr,
+                  std::string("valid L1 ") + lineStateName(st) +
+                      " copy with no valid L2 line");
+        return;
+    }
+    const DirEntry &d = l2l->dir;
+    // Formatted only on a violation: the clean path must stay cheap.
+    const auto dir = [&d] {
+        return "exclusive " + std::to_string(int(d.exclusive)) +
+               ", owners 0x" + toHex(d.owners) + ", sharers 0x" +
+               toHex(d.sharers);
+    };
+    switch (st) {
+      case LineState::E:
+        if (d.exclusive != k)
+            violation(now, "I1 dir-l1", k, addr,
+                      "E copy but directory exclusive is not its "
+                      "holder (" + dir() + ")");
+        break;
+      case LineState::M:
+        if (d.exclusive != k && !(d.owners & bit(k)))
+            violation(now, "I1 dir-l1", k, addr,
+                      "M copy but directory names neither exclusive "
+                      "nor owner (" + dir() + ")");
+        break;
+      case LineState::S:
+      case LineState::TI:
+        if (!(d.sharers & bit(k)))
+            violation(now, "I1 dir-l1", k, addr,
+                      "S/TI copy but directory sharer bit clear (" +
+                          dir() + ")");
+        return;
+      case LineState::TMI:
+        if (!(d.owners & bit(k)))
+            violation(now, "I1 dir-l1", k, addr,
+                      "TMI copy but directory owner bit clear (" +
+                          dir() + ")");
+        return;
+      case LineState::I:
+        return;
     }
 
-    for (const auto &[addr, v] : view_) {
-        const std::uint64_t nonspec = v.m | v.e;
-        if (std::popcount(nonspec) > 1)
-            violation(now, "I1 dir-l1", invalidCore, addr,
-                      "multiple non-speculative (M/E) holders: mask 0x" +
-                          toHex(nonspec));
-        if (nonspec != 0 && v.s != 0)
-            violation(now, "I1 dir-l1", invalidCore, addr,
-                      "plain S sharers (mask 0x" + toHex(v.s) +
-                          ") coexist with an M/E copy (mask 0x" +
-                          toHex(nonspec) + ")");
-
-        L2Line *l2l = ms_.l2().probe(addr);
-        if (!l2l) {
-            violation(now, "I2 inclusion", invalidCore, addr,
-                      "valid L1 copies (M/E 0x" + toHex(nonspec) +
-                          " S 0x" + toHex(v.s) + " TI 0x" +
-                          toHex(v.ti) + " TMI 0x" + toHex(v.tmi) +
-                          ") with no valid L2 line");
-            continue;
+    // An M/E copy excludes every other M/E and plain S copy.  A copy
+    // the directory does not name already failed its own rule above,
+    // so probing only the cores the directory names is enough.
+    std::uint64_t named = d.owners | d.sharers;
+    if (d.exclusive < cfg_.cores)
+        named |= bit(d.exclusive);
+    forEachBit(named & ~bit(k), [&](CoreId j) {
+        if (j >= cfg_.cores)
+            return;  // a corrupt directory bit names no L1
+        const L1Line *o = ms_.l1(j).probe(addr);
+        const LineState os = o ? o->state() : LineState::I;
+        if (os == LineState::M || os == LineState::E) {
+            // Both copies probe each other when both are named:
+            // report the pair once, from its lower core.
+            if (j > k || !(named & bit(k)))
+                violation(now, "I1 dir-l1", k, addr,
+                          "multiple non-speculative (M/E) holders: "
+                          "mask 0x" +
+                              toHex(bit(k) | bit(j)) + " (" + dir() +
+                              ")");
+        } else if (os == LineState::S) {
+            violation(now, "I1 dir-l1", j, addr,
+                      "plain S sharer (mask 0x" + toHex(bit(j)) +
+                          ") coexists with an M/E copy (mask 0x" +
+                          toHex(bit(k)) + ") (" + dir() + ")");
         }
-        const DirEntry &d = l2l->dir;
-        forEachBit(v.e, [&](CoreId k) {
-            if (d.exclusive != k)
-                violation(now, "I1 dir-l1", k, addr,
-                          "E copy but directory exclusive is " +
-                              std::to_string(int(d.exclusive)));
-        });
-        forEachBit(v.m, [&](CoreId k) {
-            if (d.exclusive != k && !(d.owners & bit(k)))
-                violation(now, "I1 dir-l1", k, addr,
-                          "M copy but directory names neither "
-                          "exclusive nor owner (exclusive " +
-                              std::to_string(int(d.exclusive)) +
-                              ", owners 0x" + toHex(d.owners) + ")");
-        });
-        forEachBit(v.s | v.ti, [&](CoreId k) {
-            if (!(d.sharers & bit(k)))
-                violation(now, "I1 dir-l1", k, addr,
-                          "S/TI copy but directory sharer bit clear "
-                          "(sharers 0x" +
-                              toHex(d.sharers) + ")");
-        });
-        forEachBit(v.tmi, [&](CoreId k) {
-            if (!(d.owners & bit(k)))
-                violation(now, "I1 dir-l1", k, addr,
-                          "TMI copy but directory owner bit clear "
-                          "(owners 0x" +
-                              toHex(d.owners) + ")");
-        });
-    }
+    });
 }
 
 void

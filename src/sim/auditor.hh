@@ -82,6 +82,7 @@
 namespace flextm
 {
 
+class L1Line;
 class MemorySystem;
 class TxOracle;
 
@@ -263,13 +264,6 @@ class StateAuditor
         std::uint64_t seq = 0;
     };
 
-    /** View of one line across all L1s, rebuilt per sweep. */
-    struct LineView
-    {
-        std::uint64_t m = 0, e = 0, s = 0, ti = 0, tmi = 0;
-        std::uint64_t abit = 0;
-    };
-
     const MachineConfig &cfg_;
     MemorySystem &ms_;
     AuditLevel level_;
@@ -295,9 +289,6 @@ class StateAuditor
     std::vector<AuditViolation> violations_;
     std::string lastBundle_;
 
-    /** Reused per sweep to avoid re-allocation. */
-    FlatMap<Addr, LineView> view_;
-
     bool required(AuditScope scope) const;
     bool doomed(const PerCore &pc);
     /** The transaction resident on @p core changed (begin/end/park):
@@ -309,6 +300,8 @@ class StateAuditor
                        Addr addr, const std::string &detail) const;
 
     void sweepLines(Cycles now);
+    /** I1/I2 for one valid copy of a line in core @p k's L1. */
+    void checkCopy(Cycles now, CoreId k, const L1Line &l);
     void sweepSignatures(Cycles now);
     void sweepCsts(Cycles now);
     void sweepOt(Cycles now);

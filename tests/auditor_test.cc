@@ -83,6 +83,15 @@ class AuditorTeeth : public ::testing::Test
                          TswActive, /*tracks_csts=*/true);
     }
 
+    /** Plant @p s on core @p c's cached copy of @p a. */
+    void
+    setLineState(CoreId c, Addr a, LineState s)
+    {
+        L1Line *l = m->memsys().l1(c).probe(a);
+        ASSERT_NE(l, nullptr);
+        m->memsys().l1(c).setState(*l, s);
+    }
+
     /** The setup must be clean before a corruption is planted. */
     void
     expectClean(const char *what)
@@ -130,6 +139,51 @@ TEST_F(AuditorTeeth, I1CatchesDirectoryLosingExclusiveOwner)
     l2l->dir.exclusive = invalidCore;  // directory forgets the owner
     l2l->dir.owners = 0;
     expectViolation("I1 dir-l1");
+}
+
+// The two cross-copy I1 rules: every copy below passes its own
+// directory rule, so only the exclusivity check can catch them.
+TEST_F(AuditorTeeth, I1CatchesTwoModifiedCopiesBothNamedOwners)
+{
+    const Addr a = base + 4 * lineBytes;
+    load(0, a);
+    load(1, a);
+    expectClean("two sharers");
+    L2Line *l2l = m->memsys().l2().probe(a);
+    ASSERT_NE(l2l, nullptr);
+    setLineState(0, a, LineState::M);
+    setLineState(1, a, LineState::M);
+    l2l->dir.clear();
+    l2l->dir.owners = 0x3;  // both named: each M copy passes alone
+    expectViolation("I1 dir-l1");
+    ASSERT_EQ(aud->violations().size(), 1u);
+    EXPECT_NE(aud->violations()[0].detail.find(
+                  "multiple non-speculative (M/E) holders"),
+              std::string::npos)
+        << aud->violations()[0].detail;
+}
+
+TEST_F(AuditorTeeth, I1CatchesSharerBesideExclusiveCopy)
+{
+    const Addr a = base + 5 * lineBytes;
+    load(0, a);
+    load(1, a);
+    expectClean("two sharers");
+    L2Line *l2l = m->memsys().l2().probe(a);
+    ASSERT_NE(l2l, nullptr);
+    ASSERT_EQ(l2l->dir.sharers & 0x3, 0x3u);
+    // Core 0 silently regains E; the directory agrees, and core 1's
+    // sharer bit stays set, so both copies pass their own rules.
+    setLineState(0, a, LineState::E);
+    l2l->dir.exclusive = 0;
+    expectViolation("I1 dir-l1");
+    ASSERT_EQ(aud->violations().size(), 1u);
+    EXPECT_NE(aud->violations()[0].detail.find("plain S sharer"),
+              std::string::npos)
+        << aud->violations()[0].detail;
+    EXPECT_NE(aud->violations()[0].detail.find("with an M/E copy"),
+              std::string::npos)
+        << aud->violations()[0].detail;
 }
 
 TEST_F(AuditorTeeth, I2CatchesL1LineWithoutL2Backing)

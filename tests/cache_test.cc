@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "mem/l1_cache.hh"
 #include "mem/l2_cache.hh"
 #include "runtime/machine.hh"
@@ -31,7 +34,7 @@ TEST(L1CacheTest, AllocateAndProbe)
     L1Line &l = l1.allocate(0x1000, 1, [](L1Line &) {
         FAIL() << "no eviction expected";
     });
-    l.state = LineState::S;
+    l1.setState(l, LineState::S);
     EXPECT_EQ(l1.probe(0x1008), &l);  // same line
     EXPECT_EQ(l1.probe(0x1040), nullptr);
 }
@@ -45,7 +48,7 @@ TEST(L1CacheTest, SetConflictGoesToVictimBuffer)
         L1Line &l = l1.allocate(
             0x10000 + i * stride, i,
             [](L1Line &) { FAIL() << "victim buffer absorbs"; });
-        l.state = LineState::S;
+        l1.setState(l, LineState::S);
     }
     // All four still visible (2 in set, 2 in victim buffer).
     for (unsigned i = 0; i < 4; ++i)
@@ -62,7 +65,7 @@ TEST(L1CacheTest, VictimOverflowEvictsForReal)
                                 [&](L1Line &v) {
                                     evicted.push_back(v.base);
                                 });
-        l.state = LineState::S;
+        l1.setState(l, LineState::S);
     }
     // 2 ways + 4 victim entries = 6 resident; 4 evicted.
     EXPECT_EQ(evicted.size(), 4u);
@@ -77,9 +80,9 @@ TEST(L1CacheTest, EvictionPrefersNonSpeculativeLines)
     for (unsigned i = 0; i < 8; ++i) {
         L1Line &l = l1.allocate(0x10000 + i * stride, i,
                                 [&](L1Line &v) {
-                                    evicted_states.push_back(v.state);
+                                    evicted_states.push_back(v.state());
                                 });
-        l.state = i < 2 ? LineState::TMI : LineState::S;
+        l1.setState(l, i < 2 ? LineState::TMI : LineState::S);
     }
     ASSERT_FALSE(evicted_states.empty());
     // The first victims must be S lines despite TMI being older.
@@ -95,7 +98,7 @@ TEST(L1CacheTest, UnboundedVictimNeverEvicts)
                                 [](L1Line &) {
                                     FAIL() << "unbounded mode";
                                 });
-        l.state = LineState::TMI;
+        l1.setState(l, LineState::TMI);
     }
     EXPECT_EQ(l1.countState(LineState::TMI), 50u);
 }
@@ -104,30 +107,30 @@ TEST(L1CacheTest, FlashCommitRevertsTbits)
 {
     L1Cache l1(4096, 2, 4, false);
     auto &a = l1.allocate(0x1000, 1, [](L1Line &) {});
-    a.state = LineState::TMI;
+    l1.setState(a, LineState::TMI);
     auto &b = l1.allocate(0x2000, 2, [](L1Line &) {});
-    b.state = LineState::TI;
+    l1.setState(b, LineState::TI);
     auto &c = l1.allocate(0x3000, 3, [](L1Line &) {});
-    c.state = LineState::M;
+    l1.setState(c, LineState::M);
     l1.flashCommit();
-    EXPECT_EQ(l1.probe(0x1000)->state, LineState::M);
+    EXPECT_EQ(l1.probe(0x1000)->state(), LineState::M);
     EXPECT_EQ(l1.probe(0x2000), nullptr);  // TI -> I
-    EXPECT_EQ(l1.probe(0x3000)->state, LineState::M);
+    EXPECT_EQ(l1.probe(0x3000)->state(), LineState::M);
 }
 
 TEST(L1CacheTest, FlashAbortDropsSpeculation)
 {
     L1Cache l1(4096, 2, 4, false);
     auto &a = l1.allocate(0x1000, 1, [](L1Line &) {});
-    a.state = LineState::TMI;
+    l1.setState(a, LineState::TMI);
     auto &b = l1.allocate(0x2000, 2, [](L1Line &) {});
-    b.state = LineState::TI;
+    l1.setState(b, LineState::TI);
     auto &c = l1.allocate(0x3000, 3, [](L1Line &) {});
-    c.state = LineState::E;
+    l1.setState(c, LineState::E);
     l1.flashAbort();
     EXPECT_EQ(l1.probe(0x1000), nullptr);
     EXPECT_EQ(l1.probe(0x2000), nullptr);
-    EXPECT_EQ(l1.probe(0x3000)->state, LineState::E);
+    EXPECT_EQ(l1.probe(0x3000)->state(), LineState::E);
 }
 
 TEST(L1CacheTest, LruVictimSelection)
@@ -135,17 +138,195 @@ TEST(L1CacheTest, LruVictimSelection)
     L1Cache l1(4096, 2, 1, false);
     const Addr stride = 32 * 64;
     auto &a = l1.allocate(0x10000 + 0 * stride, 10, [](L1Line &) {});
-    a.state = LineState::S;
+    l1.setState(a, LineState::S);
     auto &b = l1.allocate(0x10000 + 1 * stride, 20, [](L1Line &) {});
-    b.state = LineState::S;
+    l1.setState(b, LineState::S);
     // Touch the older line so the other becomes LRU.
     l1.find(0x10000 + 0 * stride, 30);
     L1Line &c = l1.allocate(0x10000 + 2 * stride, 40, [](L1Line &) {});
-    c.state = LineState::S;
+    l1.setState(c, LineState::S);
     // b (lastUse 20) was displaced into the victim buffer; all three
     // still probe-able.
     EXPECT_NE(l1.probe(0x10000 + 1 * stride), nullptr);
 }
+
+TEST(L1CacheTest, WalkSeesStateChangesMadeByItsCallback)
+{
+    // 64 sets, 1 way: six lines in six distinct frames.
+    L1Cache l1(4096, 1, 4, false);
+    for (unsigned i = 0; i < 6; ++i)
+        l1.setState(l1.allocate(0x1000 + i * 64, i, [](L1Line &) {}),
+                    LineState::S);
+    std::vector<Addr> seen;
+    l1.forEachValid([&](L1Line &l) {
+        seen.push_back(l.base);
+        if (L1Line *next = l1.probe(l.base + 64))
+            l1.invalidate(*next);
+    });
+    EXPECT_EQ(seen, (std::vector<Addr>{0x1000, 0x1080, 0x1100}));
+}
+
+// Randomized: the live/spec frame masks must make forEachValid and
+// forEachSpeculative visit exactly the lines a brute-force scan of
+// every frame finds, in the same order, after any operation mix.
+
+struct L1Geometry
+{
+    std::size_t bytes;
+    unsigned ways, victims;
+    bool unbounded;
+};
+
+/** Keeps the listed test names free of struct padding bytes. */
+void
+PrintTo(const L1Geometry &g, std::ostream *os)
+{
+    *os << g.bytes << "B/" << g.ways << "-way/" << g.victims
+        << (g.unbounded ? "+unbounded" : "") << " victims";
+}
+
+class L1CacheWalkTest : public ::testing::TestWithParam<L1Geometry>
+{
+  protected:
+    using Lines = std::vector<const L1Line *>;
+
+    /** Brute force: every frame in index order, then the victim
+     *  buffer, keeping the lines @p keep accepts. */
+    template <typename Keep>
+    static Lines
+    scan(const L1Cache &l1, Keep keep)
+    {
+        Lines out;
+        for (const L1Line &l : l1.frames())
+            if (keep(l))
+                out.push_back(&l);
+        for (const L1Line &l : l1.victimBuffer())
+            if (keep(l))
+                out.push_back(&l);
+        return out;
+    }
+
+    static bool
+    spec(const L1Line &l)
+    {
+        return l.state() == LineState::TMI || l.state() == LineState::TI;
+    }
+
+    static void
+    expectWalksExact(L1Cache &l1, unsigned step)
+    {
+        Lines valid, specs;
+        l1.forEachValid([&](L1Line &l) { valid.push_back(&l); });
+        l1.forEachSpeculative([&](L1Line &l) { specs.push_back(&l); });
+        ASSERT_EQ(valid, scan(l1, [](const L1Line &l) {
+                      return l.valid();
+                  })) << "forEachValid after step " << step;
+        ASSERT_EQ(specs, scan(l1, spec))
+            << "forEachSpeculative after step " << step;
+        for (LineState s : {LineState::M, LineState::E, LineState::S,
+                            LineState::TI, LineState::TMI}) {
+            const auto n = scan(l1, [s](const L1Line &l) {
+                               return l.state() == s;
+                           }).size();
+            ASSERT_EQ(l1.countState(s), n)
+                << lineStateName(s) << " after step " << step;
+        }
+    }
+
+    /** The line evictOneInState(@p s) must pick: lowest lastUse,
+     *  first in walk order on ties. */
+    static const L1Line *
+    expectedLru(const L1Cache &l1, LineState s)
+    {
+        const L1Line *pick = nullptr;
+        for (const L1Line *l :
+             scan(l1, [s](const L1Line &l) { return l.state() == s; }))
+            if (!pick || l->lastUse < pick->lastUse)
+                pick = l;
+        return pick;
+    }
+};
+
+TEST_P(L1CacheWalkTest, MasksMatchBruteForceScan)
+{
+    const L1Geometry g = GetParam();
+    L1Cache l1(g.bytes, g.ways, g.victims, g.unbounded);
+    std::mt19937_64 rng(0x11ca5e + g.bytes + g.ways);
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const LineState states[] = {LineState::M, LineState::E, LineState::S,
+                                LineState::TI, LineState::TMI};
+    const auto randomState = [&] { return states[pick(5)]; };
+    // Three lines per frame compete for the sets.
+    const std::size_t pool = 3 * l1.frames().size();
+    const auto resident = [&]() -> L1Line * {
+        const Lines v = scan(l1, [](const L1Line &l) { return l.valid(); });
+        return v.empty() ? nullptr : l1.probe(v[pick(v.size())]->base);
+    };
+
+    Cycles now = 0;
+    unsigned evictions = 0, forced = 0;
+    for (unsigned step = 0; step < 4000; ++step) {
+        now += pick(2);  // leave LRU ties for the tie-break rule
+        const std::size_t op = pick(100);
+        if (op < 40) {
+            const Addr a = 0x100000 + pick(pool) * lineBytes;
+            if (L1Line *l = l1.find(a, now)) {
+                l1.setState(*l, randomState());
+            } else {
+                L1Line &fr = l1.allocate(a, now, [&](L1Line &v) {
+                    ASSERT_TRUE(v.valid());
+                    ++evictions;
+                });
+                l1.setState(fr, randomState());
+            }
+        } else if (op < 55) {
+            if (L1Line *l = resident())
+                l1.setState(*l, randomState());
+        } else if (op < 65) {
+            if (L1Line *l = resident())
+                l1.invalidate(*l);
+        } else if (op < 70) {
+            l1.flashCommit();
+        } else if (op < 75) {
+            l1.flashAbort();
+        } else if (op < 90) {
+            const LineState s = randomState();
+            const L1Line *want = expectedLru(l1, s);
+            const bool leave_valid = pick(5) == 0;
+            const bool hit = l1.evictOneInState(s, [&](L1Line &v) {
+                EXPECT_EQ(&v, want);
+                if (!leave_valid)
+                    l1.invalidate(v);
+            });
+            EXPECT_EQ(hit, want != nullptr);
+            forced += hit;
+        } else {
+            // The context-switch flush: TMI/TI -> I from inside the
+            // speculative walk.
+            l1.forEachSpeculative(
+                [&](L1Line &l) { l1.setState(l, LineState::I); });
+        }
+        expectWalksExact(l1, step);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(forced, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, L1CacheWalkTest,
+    ::testing::Values(L1Geometry{1024, 1, 1, false},  // 16 frames
+                      L1Geometry{2048, 2, 4, false},  // 32 frames
+                      L1Geometry{8192, 2, 2, false},  // 128: two words
+                      L1Geometry{4096, 4, 3, true}),  // unbounded
+    [](const ::testing::TestParamInfo<L1Geometry> &info) {
+        return std::to_string(info.param.bytes) + "B" +
+               std::to_string(info.param.ways) + "way" +
+               (info.param.unbounded ? "Unbounded" : "");
+    });
 
 // ---- L2 ---------------------------------------------------------------
 

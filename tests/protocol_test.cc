@@ -81,7 +81,7 @@ class ProtocolTest : public ::testing::Test
     state(CoreId c, Addr a)
     {
         const L1Line *l = m.memsys().l1(c).probe(a);
-        return l ? l->state : LineState::I;
+        return l ? l->state() : LineState::I;
     }
 
     void

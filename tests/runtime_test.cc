@@ -460,7 +460,7 @@ TEST(RtmfRuntime, UsesPdiForVersioning)
             t->store<std::uint64_t>(cell, 21);
             const L1Line *l = m.memsys().l1(0).probe(cell);
             ASSERT_NE(l, nullptr);
-            EXPECT_EQ(l->state, LineState::TMI);
+            EXPECT_EQ(l->state(), LineState::TMI);
             std::uint64_t stable = 1;
             m.memsys().peek(cell, &stable, 8);
             EXPECT_EQ(stable, 0u);
