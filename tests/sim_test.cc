@@ -1,15 +1,17 @@
 /**
  * @file
  * Simulation-kernel unit tests: scheduler ordering and fairness,
- * barriers, the RNG/Zipf sampler, statistics, and the simulated
- * memory allocator.
+ * ready-heap re-sift and schedule-window draws, barriers, the
+ * RNG/Zipf sampler, statistics, and the simulated memory allocator.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "sim/fault.hh"
 #include "sim/rng.hh"
 #include "sim/sim_memory.hh"
 #include "sim/stats.hh"
@@ -142,6 +144,126 @@ TEST(SchedulerTest, BarrierReusable)
     }
     s.run();
     EXPECT_EQ(log.size(), 6u);
+}
+
+/** Thread 0 raises thread @p raised to clock 50 while it is parked
+ *  in the ready heap (all three start at clock 0, so thread 1 is the
+ *  heap root and thread 2 a leaf) and returns the dispatch order. */
+std::vector<int>
+resiftOrder(ThreadId raised)
+{
+    Scheduler s;
+    std::vector<int> order;
+    s.spawn(0, [&] {
+        order.push_back(0);
+        s.thread(raised).syncClock(50);
+        s.advance(5);
+        s.yield();
+        order.push_back(0);
+    });
+    s.spawn(1, [&] {
+        order.push_back(1);
+        s.advance(100);
+        s.yield();
+        order.push_back(1);
+    });
+    s.spawn(2, [&] {
+        order.push_back(2);
+        s.advance(1);
+        s.yield();
+        order.push_back(2);
+    });
+    s.run();
+    return order;
+}
+
+/** syncClock on a parked thread must re-sift it, wherever it sits in
+ *  the heap. */
+TEST(SchedulerTest, SyncClockResiftsParkedThread)
+{
+    // Leaf: t0@0 raises t2; t1@0; t0@5 again (finishes); t2@50 runs
+    // and yields at 51; t2@51; t1@100.
+    EXPECT_EQ(resiftOrder(2), (std::vector<int>{0, 1, 0, 2, 2, 1}));
+    // Root: t0@0 raises t1; only the sift-down puts t2@0 on top, so
+    // t2 runs to completion before t0@5, then t1@50.
+    EXPECT_EQ(resiftOrder(1), (std::vector<int>{0, 2, 2, 0, 1, 1}));
+}
+
+/** A barrier release wakes all parties at the releaser's clock; the
+ *  tied threads drain in thread-id order. */
+TEST(SchedulerTest, WakeFromBlockedDispatchesInIdOrder)
+{
+    Scheduler s;
+    SimBarrier bar(s, 4);
+    std::vector<int> order;
+    for (unsigned t = 0; t < 4; ++t) {
+        s.spawn(t, [&s, &bar, &order, t] {
+            // Distinct arrival clocks so the release point is reached
+            // by exactly one thread.
+            s.advance((3 - t) * 7 + 1);
+            s.yield();
+            bar.wait();
+            order.push_back(static_cast<int>(t));
+            s.advance(1);
+            s.yield();
+            order.push_back(static_cast<int>(t));
+        });
+    }
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
+}
+
+/** The schedule-window contract: exactly one FaultPlan::pickIndex
+ *  draw per dispatch with more than one candidate inside the
+ *  window, candidates in tid order.  The order and draw count are
+ *  recorded values; any change to either is a dispatch change. */
+TEST(SchedulerTest, WindowDrawsOncePerContendedDispatch)
+{
+    FaultConfig cfg;
+    cfg.seed = 1234;
+    cfg.schedWindowCycles = 8;
+    FaultPlan plan;
+    plan.configure(cfg, 1);
+
+    Scheduler s;
+    s.setFaultPlan(&plan);
+    std::string order;
+    for (unsigned t = 0; t < 3; ++t) {
+        s.spawn(t, [&s, &order, t] {
+            for (int i = 0; i < 40; ++i) {
+                order += static_cast<char>('0' + t);
+                s.advance(3);  // clocks stay within the window
+                s.yield();
+            }
+        });
+    }
+    s.run();
+    EXPECT_EQ(order,
+              "2112102000020211122002211121022001212000"
+              "0111210010202211201010210121201022020021"
+              "2010222112112102110022002211110101220200");
+    EXPECT_EQ(plan.pickCalls(), 119u);
+}
+
+/** A sole runnable thread never consults the RNG, window or not. */
+TEST(SchedulerTest, SoleRunnableNeverDraws)
+{
+    FaultConfig cfg;
+    cfg.seed = 99;
+    cfg.schedWindowCycles = 64;
+    FaultPlan plan;
+    plan.configure(cfg, 1);
+
+    Scheduler s;
+    s.setFaultPlan(&plan);
+    s.spawn(0, [&s] {
+        for (int i = 0; i < 100; ++i) {
+            s.advance(2);
+            s.yield();
+        }
+    });
+    s.run();
+    EXPECT_EQ(plan.pickCalls(), 0u);
 }
 
 TEST(RngTest, DeterministicPerSeed)
