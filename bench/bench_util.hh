@@ -2,17 +2,24 @@
  * @file
  * Shared helpers for the figure/table reproduction harnesses: thread
  * sweeps, normalization to 1-thread CGL (the paper's throughput
- * metric), and aligned table printing.
+ * metric), aligned table printing, and the timed libflextm window
+ * behind native_throughput and perf_sim's native cell.
  */
 
 #ifndef FLEXTM_BENCH_BENCH_UTIL_HH
 #define FLEXTM_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "native/tm.hh"
+#include "native/workload_trace.hh"
 #include "workloads/workload.hh"
 
 namespace flextm::bench
@@ -115,6 +122,110 @@ printRow(unsigned threads, const std::vector<double> &values)
     for (double v : values)
         std::printf(" %14.2f", v);
     std::printf("\n");
+}
+
+/** A native throughput mix: Zipfian key-value transactions. */
+struct NativeMix
+{
+    unsigned threads = 4;
+    std::uint32_t words = 8192;
+    unsigned opsPerTxn = 4;
+    /** Per-op write probability.  The default mix is read-mostly
+     *  (99% reads; ~96% of 4-op transactions are declared read-only),
+     *  the regime decoupled STM is built for. */
+    unsigned writePct = 1;
+    double theta = 0.7;
+};
+
+/**
+ * One timed libflextm window of @p millis: every thread issues
+ * transactions back to back until the stop flag flips, and the
+ * result is ops/sec (committed transactions times ops per
+ * transaction).  The key/op streams are pre-generated (YCSB-style)
+ * so the window times the library, not the Zipf sampler; each thread
+ * cycles through its private stream.
+ */
+inline double
+nativeOpsPerSec(native::Backend backend, const NativeMix &mix,
+                unsigned millis, std::uint64_t seed)
+{
+    native::shared_t sh = native::tm_create_with(
+        std::size_t{mix.words} * 8, 8, backend);
+    if (sh == native::invalid_shared) {
+        std::fprintf(stderr, "tm_create failed\n");
+        std::exit(2);
+    }
+    auto *base = static_cast<std::uint64_t *>(native::tm_start(sh));
+
+    native::TraceParams tp;
+    tp.seed = seed;
+    tp.threads = mix.threads;
+    tp.words = mix.words;
+    tp.txnsPerThread = 4096;
+    tp.opsPerTxn = mix.opsPerTxn;
+    tp.writePct = mix.writePct;
+    tp.theta = mix.theta;
+    const native::WorkloadTrace trace = makeZipfianTrace(tp);
+
+    std::atomic<bool> go{false};
+    std::atomic<bool> stop{false};
+    std::vector<std::uint64_t> commits(mix.threads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < mix.threads; ++t) {
+        threads.emplace_back([&, t] {
+            const auto &stream = trace.perThread[t];
+            // Declared-read-only flags, precomputed per transaction.
+            std::vector<bool> ro(stream.size(), true);
+            for (std::size_t i = 0; i < stream.size(); ++i) {
+                for (const auto &op : stream[i].ops)
+                    ro[i] = ro[i] && !op.isWrite;
+            }
+            while (!go.load(std::memory_order_acquire))
+                std::this_thread::yield();
+            std::uint64_t mine = 0;
+            std::size_t next = 0;
+            while (!stop.load(std::memory_order_relaxed)) {
+                const native::TraceTxn &txn = stream[next];
+                const bool is_ro = ro[next];
+                if (++next == stream.size())
+                    next = 0;
+            retry:
+                const native::tx_t tx = native::tm_begin(sh, is_ro);
+                for (const auto &op : txn.ops) {
+                    std::uint64_t v = op.value;
+                    const bool ok =
+                        op.isWrite
+                            ? native::tm_write(sh, tx, &v, 8,
+                                               &base[op.word])
+                            : native::tm_read(sh, tx, &base[op.word],
+                                              8, &v);
+                    if (!ok)
+                        goto retry;
+                }
+                if (!native::tm_end(sh, tx))
+                    goto retry;
+                ++mine;
+            }
+            commits[t] = mine;
+        });
+    }
+
+    const auto t0 = std::chrono::steady_clock::now();
+    go.store(true, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::milliseconds(millis));
+    stop.store(true, std::memory_order_relaxed);
+    for (auto &th : threads)
+        th.join();
+    const auto t1 = std::chrono::steady_clock::now();
+
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : commits)
+        total += n;
+    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    native::tm_destroy(sh);
+    return secs <= 0.0 ? 0.0
+                       : static_cast<double>(total) * mix.opsPerTxn /
+                             secs;
 }
 
 } // namespace flextm::bench

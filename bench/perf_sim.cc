@@ -57,18 +57,15 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "native/tm.hh"
-#include "native/workload_trace.hh"
+#include "bench/bench_util.hh"
 #include "sim/parallel.hh"
 #include "workloads/fault_harness.hh"
 
@@ -339,102 +336,18 @@ writeSection(std::FILE *f, const char *name, const Totals &t,
 
 /** @name Native libflextm throughput cell (schema 6)
  *
- * A cut-down copy of bench/native_throughput's timed window: the
- * grader's read-mostly Zipfian acceptance mix on real pthreads, one
- * short best-of-rounds window per backend.  Real host ops/sec - the
- * only non-simulated numbers in this file - so the cell is written
- * to the JSON for trajectory reading but takes part in neither the
- * identity check nor the --check gate. */
+ * bench::nativeOpsPerSec, the grader's timed window on its read-mostly
+ * Zipfian acceptance mix on real pthreads, one short best-of-rounds
+ * window per backend.  Real host ops/sec - the only non-simulated
+ * numbers in this file - so the cell is written to the JSON for
+ * trajectory reading but takes part in neither the identity check
+ * nor the --check gate. */
 /// @{
-struct NativeCell
+struct NativeCell : bench::NativeMix
 {
     double tl2OpsPerSec = 0.0;
     double glOpsPerSec = 0.0;
-    unsigned threads = 4;
-    unsigned opsPerTxn = 4;
-    unsigned writePct = 1;
 };
-
-double
-measureNativeOnce(native::Backend backend, const NativeCell &c,
-                  unsigned millis, std::uint64_t seed)
-{
-    native::shared_t sh =
-        native::tm_create_with(std::size_t{8192} * 8, 8, backend);
-    if (sh == native::invalid_shared)
-        return 0.0;
-    auto *base = static_cast<std::uint64_t *>(native::tm_start(sh));
-
-    native::TraceParams tp;
-    tp.seed = seed;
-    tp.threads = c.threads;
-    tp.words = 8192;
-    tp.txnsPerThread = 4096;
-    tp.opsPerTxn = c.opsPerTxn;
-    tp.writePct = c.writePct;
-    tp.theta = 0.7;
-    const native::WorkloadTrace trace = makeZipfianTrace(tp);
-
-    std::atomic<bool> go{false};
-    std::atomic<bool> stop{false};
-    std::vector<std::uint64_t> commits(c.threads, 0);
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < c.threads; ++t) {
-        threads.emplace_back([&, t] {
-            const auto &stream = trace.perThread[t];
-            std::vector<bool> ro(stream.size(), true);
-            for (std::size_t i = 0; i < stream.size(); ++i) {
-                for (const auto &op : stream[i].ops)
-                    ro[i] = ro[i] && !op.isWrite;
-            }
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            std::uint64_t mine = 0;
-            std::size_t next = 0;
-            while (!stop.load(std::memory_order_relaxed)) {
-                const native::TraceTxn &txn = stream[next];
-                const bool is_ro = ro[next];
-                if (++next == stream.size())
-                    next = 0;
-            retry:
-                const native::tx_t tx = native::tm_begin(sh, is_ro);
-                for (const auto &op : txn.ops) {
-                    std::uint64_t v = op.value;
-                    const bool ok =
-                        op.isWrite
-                            ? native::tm_write(sh, tx, &v, 8,
-                                               &base[op.word])
-                            : native::tm_read(sh, tx, &base[op.word],
-                                              8, &v);
-                    if (!ok)
-                        goto retry;
-                }
-                if (!native::tm_end(sh, tx))
-                    goto retry;
-                ++mine;
-            }
-            commits[t] = mine;
-        });
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-    stop.store(true, std::memory_order_relaxed);
-    for (auto &th : threads)
-        th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    std::uint64_t total = 0;
-    for (const std::uint64_t n : commits)
-        total += n;
-    const double secs =
-        std::chrono::duration<double>(t1 - t0).count();
-    native::tm_destroy(sh);
-    return secs <= 0.0 ? 0.0
-                       : static_cast<double>(total) * c.opsPerTxn /
-                             secs;
-}
 
 NativeCell
 measureNativeCell()
@@ -445,11 +358,10 @@ measureNativeCell()
     for (unsigned r = 0; r < 3; ++r) {
         c.tl2OpsPerSec = std::max(
             c.tl2OpsPerSec,
-            measureNativeOnce(native::Backend::Tl2, c, 100, 1 + r));
+            bench::nativeOpsPerSec(native::Backend::Tl2, c, 100, 1 + r));
         c.glOpsPerSec = std::max(
-            c.glOpsPerSec,
-            measureNativeOnce(native::Backend::GlobalLock, c, 100,
-                              1 + r));
+            c.glOpsPerSec, bench::nativeOpsPerSec(
+                               native::Backend::GlobalLock, c, 100, 1 + r));
     }
     return c;
 }

@@ -1,18 +1,18 @@
 #include "native/access_log.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <unordered_map>
 
 namespace flextm::native
 {
 
 void
-AccessLog::commitTxn(std::uint64_t stamp, bool readOnly,
+AccessLog::commitTxn(ThreadId tid, std::uint64_t stamp,
                      std::vector<Op> ops)
 {
+    const bool writes = std::any_of(
+        ops.begin(), ops.end(), [](const Op &op) { return op.isWrite; });
     std::lock_guard<std::mutex> g(mu_);
-    txns_.push_back(Txn{stamp, readOnly, nextSeq_++, std::move(ops)});
+    txns_.push_back(replay::Txn{tid, writes, stamp, std::move(ops)});
 }
 
 std::uint64_t
@@ -25,64 +25,8 @@ AccessLog::committedTxns() const
 AccessLog::Report
 AccessLog::validate() const
 {
-    std::vector<Txn> txns;
-    {
-        std::lock_guard<std::mutex> g(mu_);
-        txns = txns_;
-    }
-    std::sort(txns.begin(), txns.end(),
-              [](const Txn &a, const Txn &b) {
-                  if (a.stamp != b.stamp)
-                      return a.stamp < b.stamp;
-                  if (a.readOnly != b.readOnly)
-                      return !a.readOnly;  // writers first on ties
-                  return a.seq < b.seq;
-              });
-
-    Report rep;
-    std::unordered_map<std::uintptr_t, std::uint8_t> shadow;
-    const auto shadowByte = [&shadow](std::uintptr_t a) {
-        const auto it = shadow.find(a);
-        return it == shadow.end() ? std::uint8_t{0} : it->second;
-    };
-
-    for (const Txn &t : txns) {
-        for (const Op &op : t.ops) {
-            ++rep.checkedOps;
-            if (op.isWrite) {
-                for (unsigned i = 0; i < op.size; ++i) {
-                    shadow[op.addr + i] = static_cast<std::uint8_t>(
-                        op.value >> (8 * i));
-                }
-                continue;
-            }
-            std::uint64_t expect = 0;
-            for (unsigned i = 0; i < op.size; ++i) {
-                expect |= static_cast<std::uint64_t>(
-                              shadowByte(op.addr + i))
-                          << (8 * i);
-            }
-            if (expect != op.value) {
-                char buf[256];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "txn stamp=%llu seq=%llu read addr=0x%llx "
-                    "size=%u saw 0x%llx, serial replay expects "
-                    "0x%llx",
-                    static_cast<unsigned long long>(t.stamp),
-                    static_cast<unsigned long long>(t.seq),
-                    static_cast<unsigned long long>(op.addr),
-                    op.size,
-                    static_cast<unsigned long long>(op.value),
-                    static_cast<unsigned long long>(expect));
-                rep.ok = false;
-                rep.message = buf;
-                return rep;
-            }
-        }
-        ++rep.checkedTxns;
-    }
-    return rep;
+    std::lock_guard<std::mutex> g(mu_);
+    return replay::check(txns_, replay::Unwritten::ReadsZero, {}, "");
 }
 
 } // namespace flextm::native

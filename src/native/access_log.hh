@@ -1,25 +1,17 @@
 /**
  * @file
- * Serializability checking for the native library: a lock-protected
+ * Serializability checking for the native library: a mutex-protected
  * log of committed transactions, each carrying the serialization
- * stamp its backend assigned (TL2: the GV1 clock value it committed
- * or read at; global lock: a ticket taken under the lock), replayed
- * sequentially by validate().
+ * stamp its backend assigned (TL2: the GV1 clock value a writer
+ * committed at, or the read version a read-only transaction ran at;
+ * global lock: a ticket taken under the lock).
  *
- * This is the native twin of the simulator's TxOracle (sim/oracle.hh)
- * and deliberately mirrors its semantics: sort committed transactions
- * by stamp, replay each one's operations against a byte-granularity
- * shadow memory, and demand that every recorded read saw exactly the
- * shadow's value.  Regions are zero-initialized, so the shadow seeds
- * at zero.
- *
- * Stamp ordering: a TL2 writer stamps with its write version wv; a
- * read-only transaction stamps with its read version rv.  A reader
- * with rv == some writer's wv began after that writer committed, so
- * on stamp ties writers sort first (readOnly is the tiebreak), and
- * ties among read-only transactions are immaterial (they write
- * nothing).  Writer stamps are unique by construction (atomic clock
- * fetch_add / mutex ticket).
+ * validate() hands the log to the stamp-ordered replay shared with
+ * the simulator's TxOracle (sim/replay.hh) under libflextm's two
+ * rules: regions are zero-initialized, so a byte the history never
+ * wrote must read zero, and there is no final-image diff.  Writer
+ * stamps are unique by construction (atomic clock fetch_add / mutex
+ * ticket); the replay checks it.
  */
 
 #ifndef FLEXTM_NATIVE_ACCESS_LOG_HH
@@ -27,8 +19,9 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
+
+#include "sim/replay.hh"
 
 namespace flextm::native
 {
@@ -36,48 +29,25 @@ namespace flextm::native
 class AccessLog
 {
   public:
-    struct Op
-    {
-        bool isWrite;
-        std::uintptr_t addr;
-        std::uint64_t value;
-        unsigned size;  //!< 1, 2, 4, or 8 bytes
-    };
+    using Op = replay::Op;
+    using Report = replay::Report;
 
-    struct Report
-    {
-        bool ok = true;
-        std::string message;
-        std::uint64_t checkedTxns = 0;
-        std::uint64_t checkedOps = 0;
-    };
-
-    /** Record one committed transaction (called by the library with
-     *  the commit already decided; aborted attempts never reach the
-     *  log). */
-    void commitTxn(std::uint64_t stamp, bool readOnly,
+    /** Record one committed transaction of thread @p tid (called by
+     *  the library with the commit already decided; aborted attempts
+     *  never reach the log). */
+    void commitTxn(ThreadId tid, std::uint64_t stamp,
                    std::vector<Op> ops);
 
-    /** Replay all committed transactions in stamp order against a
-     *  zero-seeded shadow memory.  Call after the workload quiesces
-     *  (concurrent commitTxn calls are safe but make the report a
-     *  snapshot). */
+    /** Replay all committed transactions in stamp order.  Call after
+     *  the workload quiesces (concurrent commitTxn calls are safe but
+     *  wait for the replay, whose report is a snapshot). */
     Report validate() const;
 
     std::uint64_t committedTxns() const;
 
   private:
-    struct Txn
-    {
-        std::uint64_t stamp;
-        bool readOnly;
-        std::uint64_t seq;  //!< arrival tiebreak for stable replay
-        std::vector<Op> ops;
-    };
-
     mutable std::mutex mu_;
-    std::vector<Txn> txns_;
-    std::uint64_t nextSeq_ = 0;
+    std::vector<replay::Txn> txns_;
 };
 
 } // namespace flextm::native

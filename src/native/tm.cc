@@ -290,11 +290,13 @@ recordOp(NativeTx &t, bool isWrite, std::uintptr_t a,
 }
 
 void
-flushLog(NativeTx &t, std::uint64_t stamp, bool readOnly)
+flushLog(NativeTx &t, std::uint64_t stamp)
 {
     AccessLog *log = t.region->log.load(std::memory_order_relaxed);
-    if (log != nullptr)
-        log->commitTxn(stamp, readOnly, std::move(t.logOps));
+    if (log != nullptr) {
+        log->commitTxn(static_cast<ThreadId>(selfId()), stamp,
+                       std::move(t.logOps));
+    }
     t.logOps.clear();
 }
 
@@ -418,7 +420,7 @@ tm_end(shared_t shared, tx_t tx)
     t.live = false;
     if (r->backend == Backend::GlobalLock) {
         const std::uint64_t stamp = ++r->glTicket;
-        flushLog(t, stamp, false);
+        flushLog(t, stamp);
         r->gl.unlock();
         return true;
     }
@@ -426,7 +428,7 @@ tm_end(shared_t shared, tx_t tx)
     try {
         const bool ro = t.algo.readOnly();
         const std::uint64_t wv = t.algo.commit(w);
-        flushLog(t, ro ? t.algo.readVersion() : wv, ro);
+        flushLog(t, ro ? t.algo.readVersion() : wv);
         t.algo.abortCleanup();  // flash the sets for slot reuse
         return true;
     } catch (const TxAbort &) {
@@ -442,10 +444,14 @@ tm_read(shared_t shared, tx_t tx, const void *source,
 {
     Region *r = asRegion(shared);
     NativeTx &t = asTx(tx);
-    const std::size_t chunk = r->chunk;
-    if (size % chunk != 0)
+    const std::size_t chunk = r->chunk;  // a power of two
+    if ((size & (chunk - 1)) != 0)
         die("tm_read size is not a multiple of the alignment");
     auto src = reinterpret_cast<std::uintptr_t>(source);
+    // A misaligned chunk would be a misaligned atomic spanning two
+    // lock granules, only one of which stripeFor() locks.
+    if ((src & (chunk - 1)) != 0)
+        die("tm_read source is not aligned to the alignment");
     auto dst = static_cast<char *>(target);
 
     if (r->backend == Backend::GlobalLock) {
@@ -487,10 +493,12 @@ tm_write(shared_t shared, tx_t tx, const void *source,
     if (t.readOnly)
         die("tm_write inside a transaction begun with is_ro=true");
     const std::size_t chunk = r->chunk;
-    if (size % chunk != 0)
+    if ((size & (chunk - 1)) != 0)
         die("tm_write size is not a multiple of the alignment");
     auto src = static_cast<const char *>(source);
     auto dst = reinterpret_cast<std::uintptr_t>(target);
+    if ((dst & (chunk - 1)) != 0)
+        die("tm_write target is not aligned to the alignment");
 
     if (r->backend == Backend::GlobalLock) {
         std::memcpy(target, source, size);

@@ -66,7 +66,8 @@ enum class Backend
  * Create a shared region whose first segment has @p size bytes and
  * whose accesses are @p align-aligned (power of two; every
  * tm_read/tm_write size and address offset must be a multiple of
- * it).  The segment is zero-initialized.  The backend comes from
+ * it - a size or shared address off a multiple of min(align, 8)
+ * is fatal).  The segment is zero-initialized.  The backend comes from
  * FLEXTM_NATIVE_BACKEND ("tl2" / "gl"; default tl2).  Returns
  * invalid_shared on bad arguments or allocation failure.
  */
@@ -126,8 +127,8 @@ bool tm_free(shared_t shared, tx_t tx, void *target);
  * Attach an access-log checker (native/access_log.hh): every
  * committed transaction's reads and writes are recorded with its
  * serialization stamp, and AccessLog::validate() later replays them
- * sequentially - the native twin of the simulator's serializability
- * oracle.  Pass nullptr to detach.  Only flip while no transaction
+ * sequentially in stamp order - the same replay the simulator's
+ * serializability oracle runs.  Pass nullptr to detach.  Only flip while no transaction
  * is live; the log must outlive the attachment.
  */
 void tm_set_logging(shared_t shared, AccessLog *log);

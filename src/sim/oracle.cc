@@ -1,11 +1,6 @@
 #include "sim/oracle.hh"
 
-#include "sim/flat_map.hh"
-
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <unordered_map>
 
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -13,24 +8,7 @@
 namespace flextm
 {
 
-namespace
-{
-
-std::string
-formatOp(const char *what, ThreadId tid, std::uint64_t stamp, Addr a,
-         unsigned size)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s by thread %u (stamp %llu) at 0x%llx size %u",
-                  what, tid, static_cast<unsigned long long>(stamp),
-                  static_cast<unsigned long long>(a), size);
-    return buf;
-}
-
-} // anonymous namespace
-
-TxOracle::Txn &
+replay::Txn &
 TxOracle::openFor(ThreadId tid)
 {
     auto it = open_.find(tid);
@@ -42,8 +20,9 @@ TxOracle::openFor(ThreadId tid)
 void
 TxOracle::beginTxn(ThreadId tid)
 {
-    Txn &t = open_[tid];
+    replay::Txn &t = open_[tid];
     t.tid = tid;
+    t.writes = false;
     t.stamp = 0;
     t.ops.clear();
 }
@@ -58,14 +37,16 @@ void
 TxOracle::recordRead(ThreadId tid, Addr a, unsigned size,
                      std::uint64_t v)
 {
-    openFor(tid).ops.push_back(Op{false, a, size, v});
+    openFor(tid).ops.push_back(replay::Op{false, a, v, size});
 }
 
 void
 TxOracle::recordWrite(ThreadId tid, Addr a, unsigned size,
                       std::uint64_t v)
 {
-    openFor(tid).ops.push_back(Op{true, a, size, v});
+    replay::Txn &t = openFor(tid);
+    t.writes = true;
+    t.ops.push_back(replay::Op{true, a, v, size});
 }
 
 void
@@ -74,7 +55,7 @@ TxOracle::commitTxn(ThreadId tid)
     auto it = open_.find(tid);
     sim_assert(it != open_.end(),
                "oracle: commit without begin on thread %u", tid);
-    Txn t = std::move(it->second);
+    replay::Txn t = std::move(it->second);
     open_.erase(it);
     // Runtimes with an audited linearization point stamp explicitly;
     // anything else serializes here (single-threaded phases).
@@ -97,40 +78,32 @@ TxOracle::abortTxn(ThreadId tid)
 }
 
 void
+TxOracle::plainOp(ThreadId tid, replay::Op op)
+{
+    committed_.push_back(
+        replay::Txn{tid, op.isWrite, nextStamp_++, {op}});
+}
+
+void
 TxOracle::plainRead(ThreadId tid, Addr a, unsigned size,
                     std::uint64_t v)
 {
-    Txn t;
-    t.tid = tid;
-    t.stamp = nextStamp_++;
-    t.ops.push_back(Op{false, a, size, v});
-    committed_.push_back(std::move(t));
+    plainOp(tid, replay::Op{false, a, v, size});
 }
 
 void
 TxOracle::plainWrite(ThreadId tid, Addr a, unsigned size,
                      std::uint64_t v)
 {
-    Txn t;
-    t.tid = tid;
-    t.stamp = nextStamp_++;
-    t.ops.push_back(Op{true, a, size, v});
-    committed_.push_back(std::move(t));
+    plainOp(tid, replay::Op{true, a, v, size});
 }
 
 std::string
 TxOracle::historyForByte(Addr addr) const
 {
-    std::vector<const Txn *> order;
-    for (const Txn &t : committed_)
-        order.push_back(&t);
-    std::sort(order.begin(), order.end(),
-              [](const Txn *a, const Txn *b) {
-                  return a->stamp < b->stamp;
-              });
     std::string out;
-    for (const Txn *t : order) {
-        for (const Op &op : t->ops) {
+    for (const replay::Txn *t : replay::stampOrder(committed_)) {
+        for (const replay::Op &op : t->ops) {
             if (addr < op.addr || addr >= op.addr + op.size)
                 continue;
             char buf[160];
@@ -145,120 +118,6 @@ TxOracle::historyForByte(Addr addr) const
         }
     }
     return out;
-}
-
-TxOracle::Report
-TxOracle::validate(const PeekFn &peek) const
-{
-    Report rep;
-
-    std::vector<const Txn *> order;
-    order.reserve(committed_.size());
-    for (const Txn &t : committed_)
-        order.push_back(&t);
-    std::sort(order.begin(), order.end(),
-              [](const Txn *a, const Txn *b) {
-                  return a->stamp < b->stamp;
-              });
-
-    auto fail = [&](const std::string &msg) {
-        rep.ok = false;
-        rep.message = context_.empty() ? msg : context_ + ": " + msg;
-    };
-
-    for (std::size_t i = 1; i < order.size(); ++i) {
-        if (order[i]->stamp == order[i - 1]->stamp) {
-            fail("duplicate serialization stamp " +
-                 std::to_string(order[i]->stamp));
-            return rep;
-        }
-    }
-
-    // Sequential replay in stamp order over a sparse shadow, kept at
-    // line granularity (an op never crosses a line, so each op costs
-    // one map probe; a valid-byte mask tracks which bytes the replay
-    // has defined).  Bytes the history never wrote are seeded from
-    // the first read that touches them: the baseline image does not
-    // matter, only consistency from that point on.
-    struct ShadowLine
-    {
-        std::uint64_t mask = 0;
-        std::uint8_t bytes[lineBytes] = {};
-    };
-    FlatMap<Addr, ShadowLine> shadow;
-    shadow.reserve(1024);
-    for (const Txn *t : order) {
-        ++rep.checkedTxns;
-        for (const Op &op : t->ops) {
-            ++rep.checkedOps;
-            std::uint8_t bytes[8];
-            std::memcpy(bytes, &op.value, sizeof(bytes));
-            sim_assert(op.size >= 1 && op.size <= 8);
-            const unsigned off =
-                static_cast<unsigned>(op.addr & lineMask);
-            sim_assert(off + op.size <= lineBytes,
-                       "oracle op crosses a line");
-            ShadowLine &sl = shadow[lineAlign(op.addr)];
-            if (op.isWrite) {
-                std::memcpy(sl.bytes + off, bytes, op.size);
-                sl.mask |= ((std::uint64_t{1} << op.size) - 1) << off;
-                continue;
-            }
-            for (unsigned i = 0; i < op.size; ++i) {
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (off + i);
-                if (!(sl.mask & bit)) {
-                    sl.bytes[off + i] = bytes[i];
-                    sl.mask |= bit;
-                    continue;
-                }
-                if (sl.bytes[off + i] != bytes[i]) {
-                    char det[96];
-                    std::snprintf(
-                        det, sizeof(det),
-                        ": byte %u read 0x%02x, replay expects 0x%02x",
-                        i, bytes[i], sl.bytes[off + i]);
-                    fail("non-serializable " +
-                         formatOp("read", t->tid, t->stamp, op.addr,
-                                  op.size) +
-                         det);
-                    return rep;
-                }
-            }
-        }
-    }
-
-    // Final-state diff: every byte the replay tracked must match the
-    // machine's real memory after the run.  Lines ascending, bytes
-    // ascending within each line, so a multi-byte divergence always
-    // names the same (lowest) byte - and each line costs one peek
-    // (the peek walks every core's L1 looking for a fresher copy,
-    // which is far too slow to repeat per byte).
-    shadow.forEachSorted([&](Addr base, const ShadowLine &sl) {
-        if (!rep.ok)
-            return;
-        std::uint8_t actual[lineBytes];
-        peek(base, actual, lineBytes);
-        for (unsigned i = 0; i < lineBytes; ++i) {
-            if (!(sl.mask >> i & 1))
-                continue;
-            if (actual[i] != sl.bytes[i]) {
-                char det[128];
-                std::snprintf(
-                    det, sizeof(det),
-                    "final state diverges at 0x%llx: memory 0x%02x, "
-                    "replay expects 0x%02x",
-                    static_cast<unsigned long long>(base + i),
-                    actual[i], sl.bytes[i]);
-                fail(det);
-                return;
-            }
-        }
-    });
-    if (!rep.ok)
-        return rep;
-
-    return rep;
 }
 
 } // namespace flextm

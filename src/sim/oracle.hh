@@ -10,30 +10,24 @@
  * accesses outside transactions are recorded as singleton committed
  * operations.
  *
- * validate() then replays the committed history sequentially in
- * stamp order against a sparse byte-granularity shadow memory:
- *
- *  - each recorded read must return the value the replay predicts
- *    (bytes never written in the recorded history seed the shadow on
- *    first touch, so the pre-existing memory image needs no dump);
- *  - after the replay, every shadow byte must match the machine's
- *    actual final memory (MemorySystem::peek).
- *
- * Any violation means the committed history is not equivalent to the
- * sequential execution in commit order - i.e. not serializable in
- * the order the runtimes claim - and the failure report names the
- * run context (fault seed, runtime, workload) so it can be replayed.
+ * validate() hands the committed history to the stamp-ordered replay
+ * shared with libflextm (sim/replay.hh) under the simulator's two
+ * rules: bytes the history never wrote seed the shadow from their
+ * first read (the pre-existing memory image needs no dump), and after
+ * the replay every shadow byte must match the machine's actual final
+ * memory (MemorySystem::peek).  Failure reports name the run context
+ * (fault seed, runtime, workload) so they can be replayed.
  */
 
 #ifndef FLEXTM_SIM_ORACLE_HH
 #define FLEXTM_SIM_ORACLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "sim/replay.hh"
 #include "sim/types.hh"
 
 namespace flextm
@@ -43,13 +37,8 @@ namespace flextm
 class TxOracle
 {
   public:
-    struct Report
-    {
-        bool ok = true;
-        std::string message;
-        std::uint64_t checkedTxns = 0;
-        std::uint64_t checkedOps = 0;
-    };
+    using Report = replay::Report;
+    using PeekFn = replay::PeekFn;
 
     /** Prefix for failure messages ("seed=... runtime=... ..."). */
     void setContext(std::string ctx) { context_ = std::move(ctx); }
@@ -80,12 +69,15 @@ class TxOracle
     std::size_t committedCount() const { return committed_.size(); }
     std::size_t abortedCount() const { return aborted_; }
 
-    /** Reads @p size bytes of final machine memory at an address. */
-    using PeekFn = std::function<void(Addr, void *, unsigned)>;
-
     /** Sequentially replay the committed history and diff final
      *  memory state. */
-    Report validate(const PeekFn &peek) const;
+    Report
+    validate(const PeekFn &peek) const
+    {
+        return replay::check(committed_,
+                             replay::Unwritten::SeedFromFirstRead, peek,
+                             context_);
+    }
 
     /** Debug aid for failing seeds: every committed op touching the
      *  byte at @p addr, one line each, in stamp order. */
@@ -109,26 +101,12 @@ class TxOracle
     }
 
   private:
-    struct Op
-    {
-        bool isWrite;
-        Addr addr;
-        unsigned size;
-        std::uint64_t value;
-    };
-
-    struct Txn
-    {
-        ThreadId tid = 0;
-        std::uint64_t stamp = 0;
-        std::vector<Op> ops;
-    };
-
-    Txn &openFor(ThreadId tid);
+    replay::Txn &openFor(ThreadId tid);
+    void plainOp(ThreadId tid, replay::Op op);
 
     std::uint64_t nextStamp_ = 1;
-    std::map<ThreadId, Txn> open_;
-    std::vector<Txn> committed_;
+    std::map<ThreadId, replay::Txn> open_;
+    std::vector<replay::Txn> committed_;
     std::size_t aborted_ = 0;
     std::string context_;
 };

@@ -119,6 +119,34 @@ TEST(NativeLibCreateDeath, GarbageBackendIsFatal)
     EXPECT_DEATH(tm_create(64, 8), "FLEXTM_NATIVE_BACKEND");
 }
 
+/** A size or shared address off the access chunk (min(align, 8)) is
+ *  fatal: a misaligned chunk would be a misaligned atomic spanning
+ *  two lock granules. */
+TEST(NativeLibAccessDeath, MisalignedAccessIsFatal)
+{
+    for (const Backend b : {Backend::Tl2, Backend::GlobalLock}) {
+        for (const std::size_t align : {std::size_t{8}, std::size_t{2}}) {
+            shared_t sh = tm_create_with(64, align, b);
+            ASSERT_NE(sh, invalid_shared);
+            char *start = static_cast<char *>(tm_start(sh));
+            char *off = start + align / 2;
+            std::uint64_t v = 0;
+            EXPECT_DEATH(tm_read(sh, tm_begin(sh, true), off, align, &v),
+                         "tm_read source is not aligned");
+            EXPECT_DEATH(
+                tm_write(sh, tm_begin(sh, false), &v, align, off),
+                "tm_write target is not aligned");
+            EXPECT_DEATH(tm_read(sh, tm_begin(sh, true), start,
+                                 align + align / 2, &v),
+                         "tm_read size is not a multiple");
+            EXPECT_DEATH(tm_write(sh, tm_begin(sh, false), &v,
+                                  align + align / 2, start),
+                         "tm_write size is not a multiple");
+            tm_destroy(sh);
+        }
+    }
+}
+
 TEST_P(NativeLib, RegionStartsZeroedAndCommitsStick)
 {
     shared_t sh = tm_create_with(1024, 8, GetParam());
@@ -333,9 +361,9 @@ INSTANTIATE_TEST_SUITE_P(Backends, NativeLib,
 TEST(NativeAccessLog, RejectsReadOfNeverWrittenValue)
 {
     AccessLog log;
-    log.commitTxn(2, false,
+    log.commitTxn(1, 2,
                   {AccessLog::Op{true, 0x1000, 5, 8}});
-    log.commitTxn(4, true,
+    log.commitTxn(2, 4,
                   {AccessLog::Op{false, 0x1000, 7, 8}});
     const AccessLog::Report rep = log.validate();
     EXPECT_FALSE(rep.ok);
@@ -348,9 +376,9 @@ TEST(NativeAccessLog, WritersSortBeforeReadersOnStampTies)
     // A read-only transaction stamped rv == some writer's wv began
     // after that writer committed, so it must replay after it.
     AccessLog log;
-    log.commitTxn(6, true,
+    log.commitTxn(1, 6,
                   {AccessLog::Op{false, 0x2000, 3, 8}});
-    log.commitTxn(6, false,
+    log.commitTxn(2, 6,
                   {AccessLog::Op{true, 0x2000, 3, 8}});
     const AccessLog::Report rep = log.validate();
     EXPECT_TRUE(rep.ok) << rep.message;
@@ -361,7 +389,7 @@ TEST(NativeAccessLog, AcceptsEmptyAndSeedsShadowAtZero)
 {
     AccessLog log;
     EXPECT_TRUE(log.validate().ok);
-    log.commitTxn(2, true,
+    log.commitTxn(1, 2,
                   {AccessLog::Op{false, 0x3000, 0, 8}});
     const AccessLog::Report rep = log.validate();
     EXPECT_TRUE(rep.ok) << rep.message;
