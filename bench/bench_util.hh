@@ -80,7 +80,7 @@ avgExperiment(WorkloadKind wk, RuntimeKind rk, unsigned threads,
     ExperimentResult acc;
     for (unsigned s = 1; s <= benchSeeds; ++s) {
         ExperimentOptions o = defaultOptions(wk, threads, s);
-        o.cmPolicy = policy;
+        o.machine.cmPolicy = policy;
         o.machine.unboundedVictimBuffer = unbounded_victim;
         const ExperimentResult r = runExperiment(wk, rk, o);
         acc.throughput += r.throughput / benchSeeds;
@@ -226,6 +226,32 @@ nativeOpsPerSec(native::Backend backend, const NativeMix &mix,
     return secs <= 0.0 ? 0.0
                        : static_cast<double>(total) * mix.opsPerTxn /
                              secs;
+}
+
+/** Best-of-rounds ops/sec of TL2 and of the global lock. */
+struct NativeBest
+{
+    double tl2 = 0.0;
+    double gl = 0.0;
+};
+
+/**
+ * @p rounds windows per backend, best kept, seeds @p seed onwards.
+ * The backends' windows interleave, so a noisy phase on a small
+ * shared box cannot systematically penalize one side.
+ */
+inline NativeBest
+nativeBestOf(const NativeMix &mix, unsigned millis, unsigned rounds,
+             std::uint64_t seed)
+{
+    NativeBest b;
+    for (unsigned r = 0; r < rounds; ++r) {
+        b.tl2 = std::max(b.tl2, nativeOpsPerSec(native::Backend::Tl2, mix,
+                                                millis, seed + r));
+        b.gl = std::max(b.gl, nativeOpsPerSec(native::Backend::GlobalLock,
+                                              mix, millis, seed + r));
+    }
+    return b;
 }
 
 } // namespace flextm::bench

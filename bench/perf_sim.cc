@@ -1,71 +1,43 @@
 /**
  * @file
- * Simulator-performance trajectory bench (BENCH_sim.json).
+ * Simulator-performance trajectory bench (BENCH_sim.json): host wall
+ * clock and simulated cycles per host second over one table of
+ * sections, each a named list of cells timed together - the frozen
+ * 54-cell matrix ("flat": 6 runtimes x 3 workloads x 3 seeds, chaos
+ * faults, full oracle replay; also timed on --jobs N workers) and one
+ * side cell each for the DRAM backend, HyTM and TimestampGreedy CM.
  *
- * Unlike the figure/table harnesses, which measure the *simulated*
- * machine, perf_sim measures the *simulator*: host wall-clock and
- * simulated-cycles-per-host-second over a fixed workload matrix -
- * the 54-cell fault sweep shape (6 runtimes x 3 workloads x 3
- * seeds, 4 threads, 96 ops, chaos fault plan, full oracle replay).
- * The matrix is frozen so successive PRs are comparable.
+ *     perf_sim --record-baseline --out BENCH_sim.json  # new baseline
+ *     perf_sim --out BENCH_sim.json        # keep baseline, re-measure
+ *     perf_sim --check BENCH_sim.json      # regression gate
+ *     perf_sim --quick [--out FILE]        # 6-cell smoke subset
  *
- * The first run records itself as the baseline:
- *
- *     perf_sim --record-baseline --out BENCH_sim.json
- *
- * Later runs reload the baseline block from the existing file,
- * re-measure, and emit both plus the speedup:
- *
- *     perf_sim --out BENCH_sim.json
- *
- * Determinism cross-check: the summed commits/aborts/checked-ops of
- * the matrix are part of the file; a current run whose totals differ
- * from the baseline's is measuring different work (a red flag that a
- * "perf" change altered simulation semantics) and exits nonzero.
- *
- * One extra cell runs with the banked DRAM backend and is tracked in
- * its own dram_baseline / dram_current sections (with the same
- * simulated-work identity check), kept outside the frozen matrix so
- * the flat-latency trajectory stays comparable across PRs.  A second
- * side cell does the same for the HyTM runtime (hytm_baseline /
- * hytm_current), since HyTm postdates the frozen 6-runtime matrix.
- * A third side cell (cm_baseline / cm_current) runs the adversarial
- * hot-spot workload under the TimestampGreedy contention manager -
- * the policy suite's trajectory tracker, also outside the frozen
- * (implicitly all-Polka) matrix.
- *
- * --quick runs a 6-cell subset (one workload, one seed per runtime)
- * with no JSON output - the perf-smoke ctest entry, so the harness
- * itself cannot rot.
- *
- * Schema 6 adds a "native" cell: real host ops/sec of the native
- * libflextm library (TL2 and global-lock backends) on the grader's
- * read-mostly Zipfian mix.  Host throughput is machine-dependent and
- * has no simulated-work identity, so the cell is informational - it
- * tracks the library's trajectory in BENCH_sim.json but is excluded
- * from both the identity check and the --check wall-clock gate.
- *
- * --check FILE is the regression gate (schema 6): re-measure the
- * frozen matrix and each side cell serially, verify the simulated
- * work is bit-identical to FILE's current sections, and fail when
- * any section's wall clock exceeds the recorded one by more than
- * --max-regress percent (default 20) plus a slack allowance.  The
- * slack defaults to 0.05s + one recorded wall, because the ctest
- * entry runs the RelWithDebInfo build against numbers recorded from
- * the Release+LTO bench build; pass an explicit --slack 0.05 for the
- * strict like-for-like 20% gate when checking from build-bench.
+ * Each section records a "baseline" and a "current" pass (flat adds
+ * "parallel"): wall time plus the simulated-work identity, which every
+ * pass must reproduce bit for bit - a "perf" change must not alter
+ * simulation semantics.  A section the file lacks (a new table row)
+ * adopts this run as its baseline.  "native" (libflextm ops/sec on
+ * real pthreads) is trajectory only.  --check fails when a section's
+ * identity differs from FILE's "current" or its serial wall clock
+ * exceeds ref*(1+PCT/100)+slack (--max-regress, default 20; --slack,
+ * default 0.05 s + one recorded wall, because ctest runs the
+ * RelWithDebInfo build against numbers from the Release bench build).
+ * The reader is strict: a wrong schema, a missing section or key, or
+ * a malformed number is fatal and names the section and the key.
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "sim/env_util.hh"
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "workloads/fault_harness.hh"
 
@@ -74,16 +46,12 @@ using namespace flextm;
 namespace
 {
 
+constexpr int kSchema = 7;
 constexpr RuntimeKind kRuntimes[] = {
-    RuntimeKind::FlexTmEager, RuntimeKind::FlexTmLazy,
-    RuntimeKind::Cgl,         RuntimeKind::Rstm,
-    RuntimeKind::Tl2,         RuntimeKind::RtmF,
-};
+    RuntimeKind::FlexTmEager, RuntimeKind::FlexTmLazy, RuntimeKind::Cgl,
+    RuntimeKind::Rstm,        RuntimeKind::Tl2,        RuntimeKind::RtmF};
 constexpr WorkloadKind kWorkloads[] = {
-    WorkloadKind::HashTable,
-    WorkloadKind::LFUCache,
-    WorkloadKind::RBTree,
-};
+    WorkloadKind::HashTable, WorkloadKind::LFUCache, WorkloadKind::RBTree};
 constexpr unsigned kSeedsPerCell = 3;
 constexpr unsigned kThreads = 4;
 constexpr unsigned kTotalOps = 96;
@@ -93,210 +61,167 @@ struct Cell
     RuntimeKind rk;
     WorkloadKind wk;
     std::uint64_t seed;
-    /** Run with the banked DRAM backend instead of flat latency. */
-    bool dram = false;
-    /** Contention-management policy (the frozen matrix is all-Polka). */
+    MemBackendKind mem = MemBackendKind::Fixed;
     CmPolicy policy = CmPolicy::Polka;
 };
 
-struct CellResult
+/** One row of the section table.  Adding a side cell is adding a
+ *  row: the run, check, load and write loops all walk the table. */
+struct Section
 {
-    bool ok = false;
-    std::string message;
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t checkedOps = 0;
-    Cycles simCycles = 0;
+    std::string name;
+    std::vector<Cell> cells;
+    /** Also time a --jobs N pass, recorded as "parallel". */
+    bool parallel = false;
 };
 
+/** The frozen matrix; --quick keeps one cell per runtime. */
+std::vector<Cell>
+frozenMatrix(bool quick)
+{
+    std::vector<Cell> cells;
+    const unsigned workloads = quick ? 1 : std::size(kWorkloads);
+    const unsigned seeds = quick ? 1 : kSeedsPerCell;
+    for (unsigned r = 0; r < std::size(kRuntimes); ++r)
+        for (unsigned w = 0; w < workloads; ++w)
+            for (unsigned k = 0; k < seeds; ++k)
+                cells.push_back({kRuntimes[r], kWorkloads[w],
+                                 7000 + (r * 8 + w) * kSeedsPerCell + k});
+    return cells;
+}
+
+std::vector<Section>
+sectionTable(bool quick)
+{
+    return {
+        {"flat", frozenMatrix(quick), true},
+        {"dram",
+         {{.rk = RuntimeKind::FlexTmEager, .wk = WorkloadKind::HashTable,
+           .seed = 7000, .mem = MemBackendKind::Dram}}},
+        {"hytm",
+         {{.rk = RuntimeKind::HyTm, .wk = WorkloadKind::HashTable,
+           .seed = 7200}}},
+        {"cm",
+         {{.rk = RuntimeKind::FlexTmEager, .wk = WorkloadKind::HotSpot,
+           .seed = 7400, .policy = CmPolicy::TimestampGreedy}}},
+    };
+}
+
+std::vector<std::string>
+passNames(const Section &s)
+{
+    if (s.parallel)
+        return {"baseline", "current", "parallel"};
+    return {"baseline", "current"};
+}
+
+/** One timed pass over a section's cells. */
 struct Totals
 {
     double wallSeconds = 0.0;
+    double cyclesPerSecond = 0.0;
+    std::uint64_t jobs = 1;
     std::uint64_t simCycles = 0;
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;
     std::uint64_t checkedOps = 0;
-    unsigned jobs = 1;
-
-    double
-    cyclesPerSecond() const
-    {
-        return wallSeconds <= 0.0
-                   ? 0.0
-                   : static_cast<double>(simCycles) / wallSeconds;
-    }
 };
 
-std::vector<Cell>
-buildMatrix(bool quick)
+/** A key of a pass object: a host measurement (`real`) or a counter
+ *  (`count`).  `identity` counters are the simulated work, which must
+ *  match bit for bit between a pass and its reference. */
+struct Key
 {
-    std::vector<Cell> cells;
-    unsigned r = 0;
-    for (RuntimeKind rk : kRuntimes) {
-        unsigned w = 0;
-        for (WorkloadKind wk : kWorkloads) {
-            for (unsigned k = 0; k < kSeedsPerCell; ++k) {
-                // Same seed derivation style as the fault sweep:
-                // distinct per cell, stable across runs.
-                cells.push_back(Cell{
-                    rk, wk,
-                    7000 + (std::uint64_t{r} * 8 + w) * kSeedsPerCell +
-                        k});
-                if (quick)
-                    break;
-            }
-            ++w;
-            if (quick)
-                break;
-        }
-        ++r;
-    }
-    return cells;
-}
+    const char *name;
+    double Totals::*real = nullptr;
+    int decimals = 0;
+    std::uint64_t Totals::*count = nullptr;
+    bool identity = false;
+};
 
-CellResult
-runCell(const Cell &c)
-{
-    FaultRunOptions opt;
-    opt.seed = c.seed;
-    opt.threads = kThreads;
-    opt.totalOps = kTotalOps;
-    opt.quiet = true;
-    opt.cmPolicy = c.policy;
-    if (c.dram)
-        opt.machine.memBackend = MemBackendKind::Dram;
-    FaultRunResult r = runFaultedExperiment(c.wk, c.rk, opt);
-    CellResult out;
-    out.ok = r.report.ok;
-    out.message = r.report.message;
-    out.commits = r.commits;
-    out.aborts = r.aborts;
-    out.checkedOps = r.report.checkedOps;
-    out.simCycles = r.cycles;
-    return out;
-}
+/** The pass layout, in file order: the writer prints exactly these
+ *  keys and the reader demands every one. */
+const Key kKeys[] = {
+    {.name = "wall_seconds", .real = &Totals::wallSeconds, .decimals = 4},
+    {.name = "sim_cycles", .count = &Totals::simCycles, .identity = true},
+    {.name = "sim_cycles_per_second", .real = &Totals::cyclesPerSecond},
+    {.name = "commits", .count = &Totals::commits, .identity = true},
+    {.name = "aborts", .count = &Totals::aborts, .identity = true},
+    {.name = "checked_ops", .count = &Totals::checkedOps,
+     .identity = true},
+    {.name = "jobs", .count = &Totals::jobs},
+};
 
-/** Run the whole matrix across @p jobs workers; returns totals. */
-bool
-runMatrix(const std::vector<Cell> &cells, unsigned jobs, Totals &tot)
+/** Passes by dotted path, e.g. "flat.current". */
+using Passes = std::map<std::string, Totals>;
+
+Totals
+runPass(const Section &s, unsigned jobs)
 {
-    std::vector<CellResult> results(cells.size());
+    std::vector<FaultRunResult> results(s.cells.size());
     const auto t0 = std::chrono::steady_clock::now();
-    parallelFor(cells.size(), jobs,
-                [&](std::size_t i) { results[i] = runCell(cells[i]); });
+    parallelFor(s.cells.size(), jobs, [&](std::size_t i) {
+        const Cell &c = s.cells[i];
+        FaultRunOptions opt;
+        opt.seed = c.seed;
+        opt.threads = kThreads;
+        opt.totalOps = kTotalOps;
+        opt.quiet = true;
+        opt.machine.cmPolicy = c.policy;
+        opt.machine.memBackend = c.mem;
+        results[i] = runFaultedExperiment(c.wk, c.rk, opt);
+    });
     const auto t1 = std::chrono::steady_clock::now();
 
-    tot = Totals{};
-    tot.jobs = jobs;
-    tot.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    for (const CellResult &r : results) {
-        if (!r.ok) {
-            std::fprintf(stderr, "perf_sim: cell failed: %s\n",
-                         r.message.c_str());
-            return false;
-        }
-        tot.simCycles += r.simCycles;
-        tot.commits += r.commits;
-        tot.aborts += r.aborts;
-        tot.checkedOps += r.checkedOps;
+    Totals t;
+    t.jobs = jobs;
+    t.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
+    for (const FaultRunResult &r : results) {
+        if (!r.report.ok)
+            fatal("perf_sim: %s cell failed: %s", s.name.c_str(),
+                  r.report.message.c_str());
+        t.simCycles += r.cycles;
+        t.commits += r.commits;
+        t.aborts += r.aborts;
+        t.checkedOps += r.report.checkedOps;
     }
-    return true;
-}
-
-/**
- * Minimal extractor for the flat JSON this tool writes: finds
- * `"<section>": { ... "<key>": <number> ... }`.  Good enough to
- * round-trip our own output; not a general JSON parser.
- */
-bool
-extractNumber(const std::string &text, const std::string &section,
-              const std::string &key, double &out)
-{
-    const std::size_t s = text.find("\"" + section + "\"");
-    if (s == std::string::npos)
-        return false;
-    const std::size_t open = text.find('{', s);
-    const std::size_t close = text.find('}', open);
-    if (open == std::string::npos || close == std::string::npos)
-        return false;
-    const std::string body = text.substr(open, close - open);
-    const std::size_t k = body.find("\"" + key + "\"");
-    if (k == std::string::npos)
-        return false;
-    const std::size_t colon = body.find(':', k);
-    if (colon == std::string::npos)
-        return false;
-    out = std::strtod(body.c_str() + colon + 1, nullptr);
-    return true;
-}
-
-bool
-loadTotals(const std::string &text, const std::string &section,
-           Totals &base)
-{
-    double wall = 0, cycles = 0, commits = 0, aborts = 0, ops = 0;
-    if (!extractNumber(text, section, "wall_seconds", wall) ||
-        !extractNumber(text, section, "sim_cycles", cycles) ||
-        !extractNumber(text, section, "commits", commits) ||
-        !extractNumber(text, section, "aborts", aborts) ||
-        !extractNumber(text, section, "checked_ops", ops)) {
-        return false;
-    }
-    base.wallSeconds = wall;
-    base.simCycles = static_cast<std::uint64_t>(cycles);
-    base.commits = static_cast<std::uint64_t>(commits);
-    base.aborts = static_cast<std::uint64_t>(aborts);
-    base.checkedOps = static_cast<std::uint64_t>(ops);
-    return true;
-}
-
-bool
-readFile(const std::string &path, std::string &text)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    text = ss.str();
-    return true;
-}
-
-/** The simulated-work identity check between a section's baseline
- *  and its re-measurement (perf must never change semantics). */
-bool
-matrixMatches(const char *what, const Totals &baseline,
-              const Totals &current)
-{
-    if (baseline.commits == current.commits &&
-        baseline.aborts == current.aborts &&
-        baseline.checkedOps == current.checkedOps &&
-        baseline.simCycles == current.simCycles) {
-        return true;
-    }
+    if (t.wallSeconds > 0)
+        t.cyclesPerSecond = static_cast<double>(t.simCycles) / t.wallSeconds;
     std::fprintf(stderr,
-                 "perf_sim: %s MATRIX MISMATCH vs baseline "
-                 "(commits %llu/%llu aborts %llu/%llu "
-                 "ops %llu/%llu cycles %llu/%llu)\n",
-                 what, (unsigned long long)current.commits,
-                 (unsigned long long)baseline.commits,
-                 (unsigned long long)current.aborts,
-                 (unsigned long long)baseline.aborts,
-                 (unsigned long long)current.checkedOps,
-                 (unsigned long long)baseline.checkedOps,
-                 (unsigned long long)current.simCycles,
-                 (unsigned long long)baseline.simCycles);
-    return false;
+                 "perf_sim: %-4s %zu cells on %u jobs: %.3fs, %.2f "
+                 "Mcycles/s, %llu commits\n",
+                 s.name.c_str(), s.cells.size(), jobs, t.wallSeconds,
+                 t.cyclesPerSecond / 1e6,
+                 static_cast<unsigned long long>(t.commits));
+    return t;
+}
+
+/** The simulated-work identity check: perf must never change
+ *  semantics. */
+bool
+sameWork(const std::string &what, const Totals &ref, const Totals &cur)
+{
+    bool same = true;
+    for (const Key &k : kKeys) {
+        if (!k.identity || ref.*k.count == cur.*k.count)
+            continue;
+        std::fprintf(stderr,
+                     "perf_sim: %s MISMATCH: %s %llu, recorded %llu\n",
+                     what.c_str(), k.name,
+                     static_cast<unsigned long long>(cur.*k.count),
+                     static_cast<unsigned long long>(ref.*k.count));
+        same = false;
+    }
+    return same;
 }
 
 /** One section of the --check gate: simulated-work identity plus the
- *  wall-clock threshold against the recorded section. */
+ *  wall-clock limit against the recorded pass. */
 bool
-checkSection(const char *what, const Totals &ref, const Totals &cur,
-             double maxRegressPct, double slackSeconds)
+checkPass(const std::string &what, const Totals &ref, const Totals &cur,
+          double maxRegressPct, double slackSeconds)
 {
-    if (!matrixMatches(what, ref, cur))
+    if (!sameWork(what, ref, cur))
         return false;
     const double slack =
         slackSeconds >= 0 ? slackSeconds : 0.05 + ref.wallSeconds;
@@ -306,333 +231,148 @@ checkSection(const char *what, const Totals &ref, const Totals &cur,
     std::fprintf(stderr,
                  "perf_sim: check %-4s %s: %.3fs vs recorded %.3fs "
                  "(limit %.3fs = +%.0f%% + %.2fs slack)\n",
-                 what, ok ? "ok" : "REGRESSED", cur.wallSeconds,
+                 what.c_str(), ok ? "ok" : "REGRESSED", cur.wallSeconds,
                  ref.wallSeconds, limit, maxRegressPct, slack);
     return ok;
 }
 
+/** Read every pass of every section in @p table back from @p file,
+ *  in write()'s one-key-per-line layout; fatal on anything missing or
+ *  malformed, except that with @p adoptMissing a section the file
+ *  lacks entirely is left out (a new table row adopts this run). */
+Passes
+load(const std::string &file, const std::vector<Section> &table,
+     bool adoptMissing)
+{
+    std::ifstream in(file);
+    if (!in)
+        fatal("perf_sim: cannot read %s", file.c_str());
+    // Dotted path -> value text ("flat.current.commits" -> "5184", an
+    // object -> "{"), from lines `{`, `"key": {`, `"key": value` and
+    // `}`, each with an optional comma; `open` holds path prefixes.
+    std::map<std::string, std::string> doc;
+    std::vector<std::string> open;
+    std::string line;
+    for (unsigned n = 1; std::getline(in, line); ++n) {
+        std::string key;
+        std::string value =
+            line.substr(std::min(line.find_first_not_of(' '), line.size()));
+        if (value.ends_with(','))
+            value.pop_back();
+        const std::size_t colon = value.find("\": ");
+        if (value.starts_with('"') && colon != std::string::npos) {
+            key = value.substr(1, colon - 1);
+            value.erase(0, colon + 3);
+        }
+        if (value.size() >= 2 && value.starts_with('"') &&
+            value.ends_with('"'))
+            value = value.substr(1, value.size() - 2);
+        const bool keyed = !key.empty();
+        if (value == "}" && !keyed && !open.empty()) {
+            open.pop_back();
+            continue;
+        }
+        // Keys live inside an object; only the root "{" has none.
+        if (value.empty() || keyed == open.empty())
+            fatal("perf_sim: %s:%u: not perf_sim's JSON layout",
+                  file.c_str(), n);
+        const std::string path = keyed ? open.back() + key : "";
+        if (!doc.emplace(path, value).second)
+            fatal("perf_sim: %s:%u: duplicate key", file.c_str(), n);
+        if (value == "{")
+            open.push_back(keyed ? path + "." : "");
+    }
+    if (doc.empty() || !open.empty())
+        fatal("perf_sim: %s: truncated", file.c_str());
+    if (doc["schema"] != std::to_string(kSchema))
+        fatal("perf_sim: %s is not schema %d; re-record it with "
+              "--record-baseline",
+              file.c_str(), kSchema);
+
+    Passes out;
+    for (const Section &s : table) {
+        if (adoptMissing && !doc.count(s.name))
+            continue;
+        for (const std::string &pass : passNames(s)) {
+            const std::string sec = s.name + "." + pass;
+            if (doc[sec] != "{")
+                fatal("perf_sim: %s: missing section \"%s\"", file.c_str(),
+                      sec.c_str());
+            for (const Key &k : kKeys) {
+                const auto v = doc.find(sec + "." + k.name);
+                if (v == doc.end())
+                    fatal("perf_sim: %s: section \"%s\" has no key \"%s\"",
+                          file.c_str(), sec.c_str(), k.name);
+                const std::string what = file + ": " + v->first;
+                if (k.real)
+                    out[sec].*k.real = env::parseDouble(
+                        what.c_str(), v->second.c_str(), 0, 1e300);
+                else
+                    out[sec].*k.count = env::parseU64(
+                        what.c_str(), v->second.c_str(), 0, UINT64_MAX);
+            }
+        }
+    }
+    return out;
+}
+
 void
-writeSection(std::FILE *f, const char *name, const Totals &t,
-             bool trailingComma)
+write(const std::string &file, const std::vector<Section> &table,
+      const Passes &passes, double maxRegressPct, bool quick)
 {
+    // libflextm on the grader's mix: host ops/sec, trajectory only.
+    const bench::NativeMix mix;
+    const bench::NativeBest native = bench::nativeBestOf(mix, 100, 3, 1);
+    std::fprintf(stderr,
+                 "perf_sim: native tl2 %.0f ops/s, global-lock %.0f "
+                 "ops/s\n",
+                 native.tl2, native.gl);
+
+    std::FILE *f = std::fopen(file.c_str(), "w");
+    if (!f)
+        fatal("perf_sim: cannot write %s", file.c_str());
     std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"wall_seconds\": %.4f,\n"
-                 "    \"sim_cycles\": %llu,\n"
-                 "    \"sim_cycles_per_second\": %.0f,\n"
-                 "    \"commits\": %llu,\n"
-                 "    \"aborts\": %llu,\n"
-                 "    \"checked_ops\": %llu,\n"
-                 "    \"jobs\": %u\n"
-                 "  }%s\n",
-                 name, t.wallSeconds,
-                 static_cast<unsigned long long>(t.simCycles),
-                 t.cyclesPerSecond(),
-                 static_cast<unsigned long long>(t.commits),
-                 static_cast<unsigned long long>(t.aborts),
-                 static_cast<unsigned long long>(t.checkedOps), t.jobs,
-                 trailingComma ? "," : "");
-}
-
-/** @name Native libflextm throughput cell (schema 6)
- *
- * bench::nativeOpsPerSec, the grader's timed window on its read-mostly
- * Zipfian acceptance mix on real pthreads, one short best-of-rounds
- * window per backend.  Real host ops/sec - the only non-simulated
- * numbers in this file - so the cell is written to the JSON for
- * trajectory reading but takes part in neither the identity check
- * nor the --check gate. */
-/// @{
-struct NativeCell : bench::NativeMix
-{
-    double tl2OpsPerSec = 0.0;
-    double glOpsPerSec = 0.0;
-};
-
-NativeCell
-measureNativeCell()
-{
-    NativeCell c;
-    // Interleave the backends' windows (as the grader does) so a
-    // noisy phase on a shared box cannot penalize one side.
-    for (unsigned r = 0; r < 3; ++r) {
-        c.tl2OpsPerSec = std::max(
-            c.tl2OpsPerSec,
-            bench::nativeOpsPerSec(native::Backend::Tl2, c, 100, 1 + r));
-        c.glOpsPerSec = std::max(
-            c.glOpsPerSec, bench::nativeOpsPerSec(
-                               native::Backend::GlobalLock, c, 100, 1 + r));
-    }
-    return c;
-}
-/// @}
-
-} // anonymous namespace
-
-int
-main(int argc, char **argv)
-{
-    std::string out_path = "BENCH_sim.json";
-    std::string check_path;
-    bool record_baseline = false;
-    bool quick = false;
-    double max_regress_pct = 20.0;
-    double slack_seconds = -1.0;  // negative = auto (cross-build)
-    unsigned jobs = defaultJobs();
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (a == "--check" && i + 1 < argc) {
-            check_path = argv[++i];
-        } else if (a == "--max-regress" && i + 1 < argc) {
-            max_regress_pct = std::strtod(argv[++i], nullptr);
-        } else if (a == "--slack" && i + 1 < argc) {
-            slack_seconds = std::strtod(argv[++i], nullptr);
-        } else if (a == "--record-baseline") {
-            record_baseline = true;
-        } else if (a == "--quick") {
-            quick = true;
-        } else if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: perf_sim [--out FILE] [--check FILE "
-                         "[--max-regress PCT] [--slack SECONDS]] "
-                         "[--record-baseline] [--quick] [--jobs N]\n");
-            return 2;
-        }
-    }
-    if (!check_path.empty())
-        jobs = 1;  // the gate wants the stable serial wall clock
-
-    const std::vector<Cell> cells = buildMatrix(quick);
-    std::fprintf(stderr,
-                 "perf_sim: %zu cells (%s), %u job%s ...\n",
-                 cells.size(), quick ? "quick" : "full", jobs,
-                 jobs == 1 ? "" : "s");
-
-    // Serial pass: the single-thread trajectory number.
-    Totals serial;
-    if (!runMatrix(cells, 1, serial))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: serial %.2fs, %.0f Mcycles/s, "
-                 "%llu commits\n",
-                 serial.wallSeconds, serial.cyclesPerSecond() / 1e6,
-                 static_cast<unsigned long long>(serial.commits));
-
-    // Parallel pass (skipped when it would repeat the serial pass).
-    Totals parallel = serial;
-    if (jobs > 1) {
-        if (!runMatrix(cells, jobs, parallel))
-            return 1;
-        std::fprintf(stderr, "perf_sim: parallel(%u) %.2fs\n", jobs,
-                     parallel.wallSeconds);
-    }
-
-    // One DRAM-backend cell, tracked beside (not inside) the frozen
-    // 54-cell matrix so the flat-latency trajectory numbers stay
-    // comparable across PRs that predate the backend.
-    const std::vector<Cell> dramCells = {
-        Cell{RuntimeKind::FlexTmEager, WorkloadKind::HashTable, 7000,
-             /*dram=*/true}};
-    Totals dram;
-    if (!runMatrix(dramCells, 1, dram))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: dram cell %.2fs, %llu sim cycles\n",
-                 dram.wallSeconds,
-                 static_cast<unsigned long long>(dram.simCycles));
-
-    // One HyTM cell, also beside the frozen matrix (the 6-runtime
-    // matrix predates the hybrid runtime and must stay frozen).
-    const std::vector<Cell> hytmCells = {
-        Cell{RuntimeKind::HyTm, WorkloadKind::HashTable, 7200}};
-    Totals hytm;
-    if (!runMatrix(hytmCells, 1, hytm))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: hytm cell %.2fs, %llu sim cycles\n",
-                 hytm.wallSeconds,
-                 static_cast<unsigned long long>(hytm.simCycles));
-
-    // One contention-management cell: the adversarial hot-spot storm
-    // under TimestampGreedy, beside the frozen (all-Polka) matrix.
-    const std::vector<Cell> cmCells = {
-        Cell{RuntimeKind::FlexTmEager, WorkloadKind::HotSpot, 7400,
-             /*dram=*/false, CmPolicy::TimestampGreedy}};
-    Totals cm;
-    if (!runMatrix(cmCells, 1, cm))
-        return 1;
-    std::fprintf(stderr,
-                 "perf_sim: cm cell %.2fs, %llu sim cycles\n",
-                 cm.wallSeconds,
-                 static_cast<unsigned long long>(cm.simCycles));
-
-    if (quick) {
-        std::fprintf(stderr, "perf_sim: quick mode, no JSON output\n");
-        return 0;
-    }
-
-    if (!check_path.empty()) {
-        std::string ref_text;
-        if (!readFile(check_path, ref_text)) {
-            std::fprintf(stderr, "perf_sim: cannot read %s\n",
-                         check_path.c_str());
-            return 1;
-        }
-        Totals refFlat, refDram, refHytm, refCm;
-        if (!loadTotals(ref_text, "current", refFlat) ||
-            !loadTotals(ref_text, "dram_current", refDram) ||
-            !loadTotals(ref_text, "hytm_current", refHytm) ||
-            !loadTotals(ref_text, "cm_current", refCm)) {
-            std::fprintf(stderr,
-                         "perf_sim: %s lacks the current sections "
-                         "needed for --check\n",
-                         check_path.c_str());
-            return 1;
-        }
-        bool ok = true;
-        ok &= checkSection("flat", refFlat, serial, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("dram", refDram, dram, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("hytm", refHytm, hytm, max_regress_pct,
-                           slack_seconds);
-        ok &= checkSection("cm", refCm, cm, max_regress_pct,
-                           slack_seconds);
-        if (!ok) {
-            std::fprintf(stderr,
-                         "perf_sim: wall-clock regression gate FAILED "
-                         "vs %s\n",
-                         check_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "perf_sim: regression gate ok vs %s\n",
-                     check_path.c_str());
-        return 0;
-    }
-
-    // Native libflextm throughput cell: real host ops/sec on the
-    // grader's acceptance mix.  Informational (machine-dependent
-    // wall time, no simulated-work identity), so it runs only when
-    // a full JSON is being written.
-    const NativeCell nativeCell = measureNativeCell();
-    std::fprintf(stderr,
-                 "perf_sim: native cell tl2 %.0f ops/s, "
-                 "global-lock %.0f ops/s\n",
-                 nativeCell.tl2OpsPerSec, nativeCell.glOpsPerSec);
-
-    std::string prior;
-    Totals baseline;
-    bool have_baseline = false;
-    Totals dramBaseline;
-    bool have_dram_baseline = false;
-    Totals hytmBaseline;
-    bool have_hytm_baseline = false;
-    Totals cmBaseline;
-    bool have_cm_baseline = false;
-    if (!record_baseline && readFile(out_path, prior)) {
-        have_baseline = loadTotals(prior, "baseline", baseline);
-        have_dram_baseline =
-            loadTotals(prior, "dram_baseline", dramBaseline);
-        have_hytm_baseline =
-            loadTotals(prior, "hytm_baseline", hytmBaseline);
-        have_cm_baseline = loadTotals(prior, "cm_baseline", cmBaseline);
-    }
-    if (!have_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no baseline in %s; recording this "
-                         "run as the baseline\n",
-                         out_path.c_str());
-        baseline = serial;
-        have_baseline = true;
-    }
-    if (!have_dram_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no dram baseline in %s; recording "
-                         "this run's dram cell as its baseline\n",
-                         out_path.c_str());
-        dramBaseline = dram;
-        have_dram_baseline = true;
-    }
-    if (!have_hytm_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no hytm baseline in %s; recording "
-                         "this run's hytm cell as its baseline\n",
-                         out_path.c_str());
-        hytmBaseline = hytm;
-        have_hytm_baseline = true;
-    }
-    if (!have_cm_baseline) {
-        if (!record_baseline)
-            std::fprintf(stderr,
-                         "perf_sim: no cm baseline in %s; recording "
-                         "this run's cm cell as its baseline\n",
-                         out_path.c_str());
-        cmBaseline = cm;
-        have_cm_baseline = true;
-    }
-
-    // Same matrix => same simulated work.  A mismatch means a perf
-    // change altered simulation behaviour; fail loudly.
-    if (!matrixMatches("flat", baseline, serial) ||
-        !matrixMatches("dram", dramBaseline, dram) ||
-        !matrixMatches("hytm", hytmBaseline, hytm) ||
-        !matrixMatches("cm", cmBaseline, cm)) {
-        return 1;
-    }
-
-    const double speedup_serial =
-        serial.wallSeconds > 0 ? baseline.wallSeconds / serial.wallSeconds
-                               : 0.0;
-    const double speedup_best =
-        parallel.wallSeconds > 0
-            ? baseline.wallSeconds / parallel.wallSeconds
-            : speedup_serial;
-
-    std::FILE *f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "perf_sim: cannot write %s\n",
-                     out_path.c_str());
-        return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f,
+                 "{\n"
                  "  \"bench\": \"perf_sim\",\n"
-                 "  \"schema\": 6,\n"
+                 "  \"schema\": %d,\n"
                  "  \"regress_gate\": {\n"
                  "    \"max_regress_pct\": %.0f,\n"
                  "    \"command\": \"perf_sim --check BENCH_sim.json\"\n"
                  "  },\n"
                  "  \"matrix\": {\n"
-                 "    \"runtimes\": 6,\n"
-                 "    \"workloads\": 3,\n"
+                 "    \"runtimes\": %zu,\n"
+                 "    \"workloads\": %zu,\n"
                  "    \"seeds_per_cell\": %u,\n"
                  "    \"cells\": %zu,\n"
                  "    \"threads\": %u,\n"
                  "    \"total_ops\": %u\n"
                  "  },\n",
-                 max_regress_pct, kSeedsPerCell, cells.size(), kThreads,
-                 kTotalOps);
-    writeSection(f, "baseline", baseline, true);
-    writeSection(f, "current", serial, true);
-    writeSection(f, "current_parallel", parallel, true);
-    writeSection(f, "dram_baseline", dramBaseline, true);
-    writeSection(f, "dram_current", dram, true);
-    writeSection(f, "hytm_baseline", hytmBaseline, true);
-    writeSection(f, "hytm_current", hytm, true);
-    writeSection(f, "cm_baseline", cmBaseline, true);
-    writeSection(f, "cm_current", cm, true);
-    // Schema-6 native cell: host throughput of the native library
-    // (trajectory only - excluded from identity and --check gates).
+                 kSchema, maxRegressPct, std::size(kRuntimes),
+                 quick ? 1 : std::size(kWorkloads), quick ? 1 : kSeedsPerCell,
+                 table.front().cells.size(), kThreads, kTotalOps);
+    for (const Section &s : table) {
+        std::fprintf(f, "  \"%s\": {\n", s.name.c_str());
+        const std::vector<std::string> names = passNames(s);
+        for (const std::string &pass : names) {
+            const Totals &t = passes.at(s.name + "." + pass);
+            std::fprintf(f, "    \"%s\": {\n", pass.c_str());
+            for (const Key &k : kKeys) {
+                const char *sep = &k == std::end(kKeys) - 1 ? "" : ",";
+                if (k.real)
+                    std::fprintf(f, "      \"%s\": %.*f%s\n", k.name,
+                                 k.decimals, t.*k.real, sep);
+                else
+                    std::fprintf(f, "      \"%s\": %llu%s\n", k.name,
+                                 static_cast<unsigned long long>(t.*k.count),
+                                 sep);
+            }
+            std::fprintf(f, "    }%s\n", pass == names.back() ? "" : ",");
+        }
+        std::fprintf(f, "  },\n");
+    }
+    const double base = passes.at("flat.baseline").wallSeconds;
+    const double serial = passes.at("flat.current").wallSeconds;
+    const double par = passes.at("flat.parallel").wallSeconds;
     std::fprintf(f,
                  "  \"native\": {\n"
                  "    \"tl2_ops_per_sec\": %.0f,\n"
@@ -640,20 +380,123 @@ main(int argc, char **argv)
                  "    \"threads\": %u,\n"
                  "    \"ops_per_txn\": %u,\n"
                  "    \"write_pct\": %u\n"
-                 "  },\n",
-                 nativeCell.tl2OpsPerSec, nativeCell.glOpsPerSec,
-                 nativeCell.threads, nativeCell.opsPerTxn,
-                 nativeCell.writePct);
-    std::fprintf(f,
+                 "  },\n"
                  "  \"speedup_serial\": %.3f,\n"
                  "  \"speedup_best\": %.3f\n"
                  "}\n",
-                 speedup_serial, speedup_best);
-    std::fclose(f);
-    std::fprintf(stderr,
-                 "perf_sim: wrote %s (serial speedup %.2fx, best "
-                 "%.2fx vs baseline %.2fs)\n",
-                 out_path.c_str(), speedup_serial, speedup_best,
-                 baseline.wallSeconds);
+                 native.tl2, native.gl, mix.threads, mix.opsPerTxn,
+                 mix.writePct, serial > 0 ? base / serial : 0.0,
+                 par > 0 ? base / par : 0.0);
+    if (std::fclose(f) != 0)
+        fatal("perf_sim: cannot write %s", file.c_str());
+    std::fprintf(stderr, "perf_sim: wrote %s (flat baseline %.3fs)\n",
+                 file.c_str(), base);
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    std::string out_path = "BENCH_sim.json";
+    bool out_given = false;
+    std::string check_path;
+    bool record_baseline = false;
+    bool quick = false;
+    double max_regress_pct = 20.0;
+    double slack_seconds = -1.0;  // negative = auto (cross-build)
+    unsigned jobs = defaultJobs();
+    const char *usage = "usage: perf_sim [--out FILE] [--record-baseline] "
+                        "[--jobs N] [--quick]\n"
+                        "       perf_sim --check FILE [--max-regress PCT] "
+                        "[--slack SECONDS]\n";
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
+        if (a == "--out" && i + 1 < argc) {
+            out_path = argv[++i];
+            out_given = true;
+        } else if (a == "--check" && i + 1 < argc) {
+            check_path = argv[++i];
+        } else if (a == "--max-regress" && i + 1 < argc) {
+            max_regress_pct =
+                env::parseDouble("--max-regress", argv[++i], 0, 1000);
+        } else if (a == "--slack" && i + 1 < argc) {
+            slack_seconds = env::parseDouble("--slack", argv[++i], 0, 3600);
+        } else if (a == "--record-baseline") {
+            record_baseline = true;
+        } else if (a == "--quick") {
+            quick = true;
+        } else if (a == "--jobs" && i + 1 < argc) {
+            jobs = static_cast<unsigned>(
+                env::parseU64("--jobs", argv[++i], 1, 4096));
+        } else {
+            std::fputs(usage, stderr);
+            return 2;
+        }
+    }
+    const bool check = !check_path.empty();
+    if (check && quick) {
+        std::fprintf(stderr, "perf_sim: --check cannot run with --quick\n%s",
+                     usage);
+        return 2;
+    }
+    if (check)
+        jobs = 1;  // the gate wants the stable serial wall clock
+    // A quick run writes JSON only where --out points.
+    const bool record = !check && (!quick || out_given);
+
+    const std::vector<Section> table = sectionTable(quick);
+    // Read the reference first, so a bad file fails before any run.
+    Passes passes;
+    if (check)
+        passes = load(check_path, table, false);
+    else if (record && !record_baseline && std::ifstream(out_path))
+        passes = load(out_path, table, true);
+
+    Passes measured;
+    for (const Section &s : table) {
+        const Totals serial = runPass(s, 1);
+        measured[s.name + ".current"] = serial;
+        if (s.parallel)
+            measured[s.name + ".parallel"] =
+                jobs > 1 ? runPass(s, jobs) : serial;
+    }
+
+    if (check) {
+        bool ok = true;
+        for (const Section &s : table) {
+            const std::string cur = s.name + ".current";
+            ok &= checkPass(s.name, passes.at(cur), measured.at(cur),
+                            max_regress_pct, slack_seconds);
+        }
+        std::fprintf(stderr, "perf_sim: regression gate %s vs %s\n",
+                     ok ? "ok" : "FAILED", check_path.c_str());
+        return ok ? 0 : 1;
+    }
+    if (!record)
+        return 0;
+
+    bool same = true;
+    for (const Section &s : table) {
+        const std::string base = s.name + ".baseline";
+        if (!passes.count(base)) {
+            if (!record_baseline)
+                std::fprintf(stderr,
+                             "perf_sim: no %s section in %s; recording "
+                             "this run as its baseline\n",
+                             s.name.c_str(), out_path.c_str());
+            passes[base] = measured.at(s.name + ".current");
+        }
+        for (const std::string &pass : passNames(s)) {
+            const std::string path = s.name + "." + pass;
+            if (pass == "baseline")
+                continue;
+            passes[path] = measured.at(path);
+            same &= sameWork(path, passes.at(base), passes.at(path));
+        }
+    }
+    if (!same)
+        return 1;
+    write(out_path, table, passes, max_regress_pct, quick);
     return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -43,6 +44,23 @@ parseU64(const char *name, const char *text, std::uint64_t lo,
               static_cast<unsigned long long>(lo),
               static_cast<unsigned long long>(hi));
     return static_cast<std::uint64_t>(v);
+}
+
+double
+parseDouble(const char *name, const char *text, double lo, double hi)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    // strtod skips leading whitespace and reads "inf"/"nan"; reject
+    // both, like parseU64 rejects a sign.
+    if (std::isspace(static_cast<unsigned char>(*text)) || end == text ||
+        *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+        fatal("%s=\"%s\" is not a valid number", name, text);
+    }
+    if (v < lo || v > hi)
+        fatal("%s=%g is out of range (want [%g, %g])", name, v, lo, hi);
+    return v;
 }
 
 std::uint64_t

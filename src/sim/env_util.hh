@@ -37,6 +37,15 @@ std::uint64_t parseU64(const char *name, const char *text,
                        std::uint64_t lo, std::uint64_t hi,
                        int base = 10);
 
+/**
+ * The real-number twin of parseU64: the whole of @p text must parse
+ * as a finite number in [@p lo, @p hi].  fatal()s on an empty string,
+ * leading whitespace, trailing junk, inf/nan, overflow, or an
+ * out-of-range value.
+ */
+double parseDouble(const char *name, const char *text, double lo,
+                   double hi);
+
 /** Unsigned integer knob: fallback when unset/empty, else a strict
  *  full-string parse bounded to [@p lo, @p hi]. */
 std::uint64_t u64Or(const char *name, std::uint64_t fallback,

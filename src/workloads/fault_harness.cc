@@ -26,7 +26,6 @@ runFaultedExperiment(WorkloadKind wk, RuntimeKind rk,
         cfg.fault = FaultConfig::chaos(seed);
     else if (cfg.fault.seed == 0)
         cfg.fault.seed = seed;
-    cfg.cmPolicy = opt.cmPolicy;
 
     FaultRunResult res;
     res.seed = seed;

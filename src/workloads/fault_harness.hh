@@ -48,8 +48,6 @@ struct FaultRunOptions
      *  this off: a deliberately corrupted structure may panic in
      *  verify before the oracle gets to report the seed. */
     bool runVerify = true;
-    /** Eager-mode conflict-management policy (FlexTM runtimes). */
-    CmPolicy cmPolicy = CmPolicy::Polka;
     /**
      * Every Nth operation of each thread requests irrevocability
      * for its next transaction (0 disables) - exercises the serial

@@ -76,6 +76,21 @@ TEST(EnvUtil, ParseU64RejectsGarbage)
     EXPECT_DEATH(env::parseU64("X", "101", 0, 100), "X");
 }
 
+TEST(EnvUtil, ParseDoubleAcceptsCleanNumbersAndRejectsGarbage)
+{
+    EXPECT_EQ(env::parseDouble("X", "0", 0, 100), 0.0);
+    EXPECT_EQ(env::parseDouble("X", "1.1205", 0, 100), 1.1205);
+    EXPECT_EQ(env::parseDouble("X", "2e1", 0, 100), 20.0);
+    EXPECT_DEATH(env::parseDouble("X", "", 0, 100), "X");
+    EXPECT_DEATH(env::parseDouble("X", "abc", 0, 100), "X");
+    EXPECT_DEATH(env::parseDouble("X", "1.5x", 0, 100), "X");
+    EXPECT_DEATH(env::parseDouble("X", " 1", 0, 100), "X");
+    EXPECT_DEATH(env::parseDouble("X", "nan", 0, 100), "X");
+    EXPECT_DEATH(env::parseDouble("X", "inf", 0, 1e300), "X");
+    EXPECT_DEATH(env::parseDouble("X", "1e999", 0, 1e300), "X");
+    EXPECT_DEATH(env::parseDouble("X", "-1", 0, 100), "X");
+}
+
 TEST(EnvUtil, U64OrFallsBackOnlyWhenUnset)
 {
     ScopedEnv e("FLEXTM_TEST_KNOB", nullptr);

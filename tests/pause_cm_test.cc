@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/runtime_factory.hh"
+#include "workloads/fault_harness.hh"
 #include "workloads/workload.hh"
 
 namespace flextm
@@ -135,7 +136,7 @@ TEST_P(CmPolicyTest, ConflictsResolveAndWorkCompletes)
     o.totalOps = 200;
     o.machine.cores = 8;
     o.machine.memoryBytes = 64u << 20;
-    o.cmPolicy = GetParam();
+    o.machine.cmPolicy = GetParam();
     const ExperimentResult r = runExperiment(
         WorkloadKind::LFUCache, RuntimeKind::FlexTmEager, o);
     EXPECT_EQ(r.commits, 200u);
@@ -161,7 +162,7 @@ TEST(CmPolicyBehaviour, TimidSelfAbortsAggressiveKills)
         o.totalOps = 200;
         o.machine.cores = 8;
         o.machine.memoryBytes = 64u << 20;
-        o.cmPolicy = p;
+        o.machine.cmPolicy = p;
         std::uint64_t count = 0;
         o.inspect = [&](Machine &m) {
             count = m.stats().counterValue(counter);
@@ -173,6 +174,34 @@ TEST(CmPolicyBehaviour, TimidSelfAbortsAggressiveKills)
     EXPECT_GT(run_policy(CmPolicy::Timid, "cm.self_aborts"), 0u);
     EXPECT_GT(run_policy(CmPolicy::Aggressive, "cm.enemy_aborts"),
               0u);
+}
+
+/** The policy is configured in one place, MachineConfig::cmPolicy,
+ *  and both experiment harnesses hand it to the machine as set. */
+TEST(CmPolicyConfig, MachineFieldReachesBothHarnesses)
+{
+    CmPolicy seen = CmPolicy::Polka;
+    const auto record = [&](Machine &m) { seen = m.cmPolicy().kind(); };
+
+    ExperimentOptions e;
+    e.threads = 2;
+    e.totalOps = 16;
+    e.machine.cmPolicy = CmPolicy::Timid;
+    e.inspect = record;
+    runExperiment(WorkloadKind::HashTable, RuntimeKind::FlexTmEager, e);
+    EXPECT_EQ(seen, CmPolicy::Timid);
+
+    seen = CmPolicy::Polka;
+    FaultRunOptions f;
+    f.threads = 2;
+    f.totalOps = 16;
+    f.quiet = true;
+    f.machine.cmPolicy = CmPolicy::Timid;
+    f.inspect = record;
+    const FaultRunResult r = runFaultedExperiment(
+        WorkloadKind::HashTable, RuntimeKind::FlexTmEager, f);
+    EXPECT_TRUE(r.report.ok) << r.report.message;
+    EXPECT_EQ(seen, CmPolicy::Timid);
 }
 
 } // anonymous namespace
